@@ -18,7 +18,6 @@ from .graph import (
     pivot_class_key,
     recolor_subset,
     splice_all,
-    two_sum,
     vertex_pivot,
 )
 from .poly import (
@@ -26,7 +25,6 @@ from .poly import (
     RelPolynomial,
     equal_mod_ideal,
     evaluate,
-    ideal_generators,
     specialize_psi,
     variable,
     z_symbol,
@@ -59,7 +57,6 @@ from .tutte import (
     ContractingSet,
     ProperLabeling,
     activities,
-    activities_via_cycles,
     canonical_labeling,
     enumerate_contracting_sets,
     terminal_graph,

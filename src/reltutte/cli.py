@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import EngineError
+from .errors import EngineError, InvariantBreach
 from .pointed import PointedGraph, pointed_polys
 from .poly import RelPolynomial
 from .suite import all_suite_names, run_suite
@@ -51,11 +51,18 @@ class Emitter:
             self.out.write(text + "\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=32)
+    p.add_argument("--trials", type=_positive_int, default=32)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--flip-orientation", action="store_true")
 
 
@@ -168,7 +175,7 @@ def cmd_suite(args) -> int:
     failed = False
     for name in names:
         result = run_suite(name, args.instances, args.seed, jobs=args.jobs,
-                           inject_fault=args.inject_fault)
+                           inject_fault=args.inject_fault, trials=args.trials)
         em.line(f"suite {name}: {result.total - result.failures}/{result.total} passed")
         for note in result.notes:
             em.line(f"  note {note}")
@@ -191,13 +198,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except FileNotFoundError as exc:
+    except (OSError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except AssertionError as exc:
+    except InvariantBreach as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

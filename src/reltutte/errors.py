@@ -2,7 +2,12 @@
 
 Every failure mode raised by the library derives from EngineError so callers
 (and the CLI) can distinguish engine validation failures from genuine bugs.
+The one exception is InvariantBreach, which signals such a bug.
 """
+
+
+class InvariantBreach(Exception):
+    """An internal invariant failed on validated input: a bug in the engine."""
 
 
 class EngineError(Exception):

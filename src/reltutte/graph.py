@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     BadReattachChoice,
@@ -210,6 +210,37 @@ def components(g: ColoredMultigraph) -> list[frozenset]:
 
 def is_connected(g: ColoredMultigraph) -> bool:
     return len(components(g)) <= 1
+
+
+def union_find(g: ColoredMultigraph, ids: Iterable[str]) -> tuple[Callable[[str], str], list[str]]:
+    """Merge the endpoints of the edges ids of g, in sorted id order.
+
+    Returns the root lookup and the ids, in that order, whose endpoints were
+    already joined when they came up: the edges that close a cycle.
+    """
+    parent: dict[str, str] = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    closing = []
+    for eid in sorted(ids):
+        e = g.edge(eid)
+        ru, rv = find(e.u), find(e.v)
+        if ru == rv:
+            closing.append(eid)
+        else:
+            parent[ru] = rv
+    return find, closing
+
+
+def rank(g: ColoredMultigraph, ids: Iterable[str]) -> int:
+    """Graphic rank of the edges ids: |V| minus the components of (V, ids)."""
+    ids = list(ids)
+    return len(ids) - len(union_find(g, ids)[1])
 
 
 def contract(g: ColoredMultigraph, eid: str) -> ColoredMultigraph:
@@ -683,12 +714,16 @@ def _glue_along_edge(
     base_edge: str,
     patch: ColoredMultigraph,
     patch_edge: str,
+    prefix: str,
     flip: bool = False,
 ) -> ColoredMultigraph:
     """Identify the endpoints of base_edge with those of patch_edge, drop both.
 
-    The base edge may be a loop: both patch endpoints then collapse onto the
-    loop's vertex. The patch edge must not be a loop.
+    Endpoints are matched in ascending vertex-id order on both sides unless
+    ``flip`` reverses the base side. The base edge may be a loop: both patch
+    endpoints then collapse onto the loop's vertex. The patch edge must not be
+    a loop. The patch's other ids get ``prefix``, lengthened by ``+`` until
+    it collides with no id of the base.
     """
     be = base.edge(base_edge)
     pe = patch.edge(patch_edge)
@@ -699,7 +734,6 @@ def _glue_along_edge(
     if flip:
         b1, b2 = b2, b1
     target = {p1: b1, p2: b2}
-    prefix = f"{base_edge}."
     while any((prefix + v) in base.vertex_set for v in patch.vertex_set) or any(
         base.has_edge(prefix + e.id) for e in patch.edges
     ):
@@ -715,23 +749,6 @@ def _glue_along_edge(
         edges.append(EdgeRecord(prefix + f.id, rename(f.u), rename(f.v), f.color, f.is_zero, f.is_pointed))
     vertices = set(base.vertex_set) | {rename(v) for v in patch.vertex_set}
     return ColoredMultigraph(edges, extra_vertices=vertices)
-
-
-def two_sum(
-    base: ColoredMultigraph,
-    base_edge: str,
-    patch: ColoredMultigraph,
-    patch_edge: str,
-    flip: bool = False,
-) -> ColoredMultigraph:
-    """2-sum: identify two non-loop edges endpoint-to-endpoint and remove both.
-
-    Endpoints are matched in ascending vertex-id order on both sides unless
-    ``flip`` reverses the base side.
-    """
-    if base.edge(base_edge).is_loop:
-        raise LoopTwoSum(f"base edge {base_edge!r} is a loop")
-    return _glue_along_edge(base, base_edge, patch, patch_edge, flip)
 
 
 def recolor_subset(g: ColoredMultigraph, s: Iterable[str], new_color: str) -> ColoredMultigraph:

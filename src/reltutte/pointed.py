@@ -17,18 +17,18 @@ from .errors import NoPointedEdge, NotLinearInZ, PointedIsLoopOrBridge
 from .graph import (
     ColoredMultigraph,
     PivotClassKey,
-    components,
     contract,
     delete,
     is_bridge,
     is_connected,
-    is_loop,
     pivot_class_key,
+    rank,
+    union_find,
 )
 from .poly import RelPolynomial
 from .tutte import (
     ContractingSet,
-    canonical_labeling,
+    enumerate_contracting_sets,
     universal_tutte_statesum,
     validate_contracting_set,
 )
@@ -72,40 +72,11 @@ def classify_pair(pg: PointedGraph, cs: ContractingSet) -> str:
     g = pg.graph
     validate_contracting_set(g, cs, pointed_as_zero=True)
     e = g.edge(pg.pointed_id)
-    parent: dict[str, str] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for eid in cs.contracting:
-        f = g.edge(eid)
-        ru, rv = find(f.u), find(f.v)
-        if ru != rv:
-            parent[ru] = rv
+    find, _ = union_find(g, cs.contracting)
     if find(e.u) == find(e.v):
-        verdict = TYPE_C
-    else:
-        removed = set(cs.deleting) | {e.id}
-        rest = ColoredMultigraph(
-            [f for f in g.edges if f.id not in removed], extra_vertices=g.vertex_set
-        )
-        verdict = TYPE_D if len(components(rest)) > len(components(g)) else TYPE_ZERO
-    assert verdict == _classify_by_terminal_status(pg, cs), "type classification disagrees with terminal status"
-    return verdict
-
-
-def _classify_by_terminal_status(pg: PointedGraph, cs: ContractingSet) -> str:
-    """Cross-check: contract C and delete D, then look at the pointed edge."""
-    from .tutte import _replay
-
-    lab = canonical_labeling(pg.graph, pointed_as_zero=True)
-    _, t = _replay(pg.graph, lab, cs, pointed_as_zero=True, validate=False)
-    if is_loop(t, pg.pointed_id):
         return TYPE_C
-    if is_bridge(t, pg.pointed_id):
+    removed = cs.deleting | {e.id}
+    if rank(g, (f.id for f in g.edges if f.id not in removed)) < rank(g, g.edge_ids()):
         return TYPE_D
     return TYPE_ZERO
 
@@ -196,8 +167,6 @@ def universal_with_pointed_zero(pg: PointedGraph) -> RelPolynomial:
 
 def contracting_sets_by_type(pg: PointedGraph) -> dict[str, list[ContractingSet]]:
     """All contracting sets with the pointed edge as zero, bucketed by type."""
-    from .tutte import enumerate_contracting_sets
-
     buckets: dict[str, list[ContractingSet]] = {TYPE_C: [], TYPE_D: [], TYPE_ZERO: []}
     for cs in enumerate_contracting_sets(pg.graph, pointed_as_zero=True):
         buckets[classify_pair(pg, cs)].append(cs)

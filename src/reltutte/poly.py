@@ -127,9 +127,6 @@ class RelPolynomial:
             deg = max(deg, sum(e for _, e in vars_) + len(zs))
         return deg
 
-    def is_linear_in_z(self) -> bool:
-        return all(len(zs) <= 1 for _, zs in self._terms)
-
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
 
@@ -240,17 +237,6 @@ def variable(kind: str, color: str) -> RelPolynomial:
 
 def z_symbol(key: PivotClassKey) -> RelPolynomial:
     return RelPolynomial.z_symbol(key)
-
-
-def ideal_generators(lam: str, mu: str) -> tuple[RelPolynomial, RelPolynomial]:
-    """The two determinant-difference generators for a pair of colors."""
-    x_l, x_m = variable("x", lam), variable("x", mu)
-    y_l, y_m = variable("y", lam), variable("y", mu)
-    cx_l, cx_m = variable("X", lam), variable("X", mu)
-    cy_l, cy_m = variable("Y", lam), variable("Y", mu)
-    gen_a = (cx_l * y_m - cx_m * y_l) - (x_l * cy_m - x_m * cy_l)
-    gen_b = (x_l * cy_m - x_m * cy_l) - (x_l * y_m - x_m * y_l)
-    return gen_a, gen_b
 
 
 # -- evaluation -----------------------------------------------------------------------

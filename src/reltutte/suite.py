@@ -9,6 +9,7 @@ count.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -114,17 +115,23 @@ def check_tensor_formula(seed: int, index: int, trials: int = 32) -> tuple[bool,
 _SUITES = {
     "labeling-independence": check_labeling_independence,
     "pointed-identities": check_pointed_identities,
-    "bijection": check_bijection,
+    # exact round trip: no randomized trials to pass on
+    "bijection": lambda seed, index, trials: check_bijection(seed, index),
     "tensor-formula": check_tensor_formula,
 }
 
 
 def _run_one(args: tuple) -> tuple[int, bool, str, str]:
-    name, seed, index, inject_fault = args
-    ok, note, desc = _SUITES[name](seed, index)
+    name, seed, index, inject_fault, trials = args
+    ok, note, desc = _SUITES[name](seed, index, trials)
     if inject_fault and index == 0:
         ok, note = False, f"injected fault in instance 0 of {name}"
     return index, ok, note, desc
+
+
+def worker_count(jobs: int, instances: int) -> int:
+    """Worker processes for a suite run: jobs clamped to [1, min(cpu count, instances)]."""
+    return max(1, min(jobs, os.cpu_count() or 1, instances))
 
 
 def run_suite(
@@ -133,11 +140,13 @@ def run_suite(
     seed: int,
     jobs: int = 1,
     inject_fault: bool = False,
+    trials: int = 32,
 ) -> SuiteResult:
     result = SuiteResult(name=name, total=instances)
-    tasks = [(name, seed, i, inject_fault) for i in range(instances)]
-    if jobs > 1 and instances > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    tasks = [(name, seed, i, inject_fault, trials) for i in range(instances)]
+    workers = worker_count(jobs, instances)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, tasks))
     else:
         outcomes = [_run_one(t) for t in tasks]

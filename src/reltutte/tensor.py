@@ -110,25 +110,11 @@ def _copy_graph_cached(g2: PointedGraph, f: str) -> PointedGraph:
 
 @lru_cache(maxsize=1024)
 def tensor_product(ti: TensorInstance, flip: bool = False) -> ColoredMultigraph:
-    """Replace every lambda-edge of the base by a copy of the patch minus its
-    pointed edge, glued at the pointed edge's endpoints."""
+    """Replace every lambda-edge f of the base by a copy of the patch minus its
+    pointed edge, glued at the pointed edge's endpoints, with ids ``f/...``."""
     g = ti.g1
-    pe = ti.g2.graph.edge(ti.g2.pointed_id)
-    p1, p2 = pe.endpoints()
     for f in ti.lambda_edge_ids():
-        base_edge = g.edge(f)
-        b1, b2 = base_edge.endpoints()
-        if flip:
-            b1, b2 = b2, b1
-        target = {f"{f}/{p1}": b1, f"{f}/{p2}": b2}
-        edges = [e for e in g.edges if e.id != f]
-        for e in ti.g2.graph.edges:
-            if e.id == ti.g2.pointed_id:
-                continue
-            u = target.get(f"{f}/{e.u}", f"{f}/{e.u}")
-            v = target.get(f"{f}/{e.v}", f"{f}/{e.v}")
-            edges.append(EdgeRecord(f"{f}/{e.id}", u, v, e.color, e.is_zero, e.is_pointed))
-        g = ColoredMultigraph(edges, extra_vertices=g.vertex_set)
+        g = _glue_along_edge(g, f, ti.g2.graph, ti.g2.pointed_id, f"{f}/", flip=flip)
     return g
 
 
@@ -308,7 +294,7 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
                 pj, key_j = parts[j]
                 patch = key_j.representative
                 nu_id = next(e.id for e in patch.edges if e.is_pointed)
-                glued = _glue_along_edge(glued, eid, patch, nu_id, flip=flip)
+                glued = _glue_along_edge(glued, eid, patch, nu_id, f"{eid}.", flip=flip)
                 weight = weight * pj
             out = out + weight * RelPolynomial.z_symbol(pivot_class_key(glued))
     return out

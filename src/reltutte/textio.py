@@ -78,7 +78,11 @@ def parse_graph_text(text: str, source: str = "<string>") -> ColoredMultigraph:
 
 def parse_graph_file(path: str) -> ColoredMultigraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read(), source=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    return parse_graph_text(text, source=str(path))
 
 
 def format_graph(g: ColoredMultigraph, header: str | None = None) -> str:

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterator, Mapping, Optional
 
-from .errors import ColorClash, ImproperLabeling, InvalidContractingSet
+from .errors import ColorClash, ImproperLabeling, InvalidContractingSet, InvariantBreach
 from .graph import (
     ColoredMultigraph,
-    components,
     contract,
     delete,
     is_bridge,
-    is_loop,
     pivot_class_key,
+    rank,
+    union_find,
 )
 from .poly import RelPolynomial, monomial_key
 
@@ -37,6 +36,7 @@ class Activity(Enum):
 
 
 _WEIGHT_KIND = {Activity.IA: "X", Activity.II: "x", Activity.EA: "Y", Activity.EI: "y"}
+_CONTRACTED = frozenset({Activity.IA, Activity.II})
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,45 @@ def _check_colors(g: ColoredMultigraph) -> None:
         raise ColorClash(f"colors used on both sides: {sorted(clash)}")
 
 
+def _walk(g: ColoredMultigraph, order: list[str], cs: Optional[ContractingSet] = None):
+    """The deletion-contraction walk over the regular edges in ``order``.
+
+    A loop is deleted (EA), a bridge is contracted (IA), and any other edge is
+    contracted (II) and then deleted (EI). Yields one (steps, weight, terminal
+    graph) triple per leaf: steps are the (edge id, activity) pairs taken and
+    weight counts them by (kind, color). Both are live and change after the
+    next leaf. With ``cs``, only the branch that contracts exactly
+    cs.contracting is followed.
+    """
+    steps: list[tuple[str, Activity]] = []
+    weight: dict[tuple[str, str], int] = {}
+
+    def visit(graph: ColoredMultigraph, i: int):
+        if i == len(order):
+            yield steps, weight, graph
+            return
+        eid = order[i]
+        e = graph.edge(eid)
+        if e.is_loop:
+            branches = (Activity.EA,)
+        elif is_bridge(graph, eid):
+            branches = (Activity.IA,)
+        else:
+            branches = (Activity.II, Activity.EI)
+        for act in branches:
+            contracted = act in _CONTRACTED
+            if cs is not None and contracted != (eid in cs.contracting):
+                continue
+            key = (_WEIGHT_KIND[act], e.color)
+            steps.append((eid, act))
+            weight[key] = weight.get(key, 0) + 1
+            yield from visit(contract(graph, eid) if contracted else delete(graph, eid), i + 1)
+            weight[key] -= 1
+            steps.pop()
+
+    return visit(g, 0)
+
+
 def enumerate_contracting_sets(
     g: ColoredMultigraph,
     lab: Optional[ProperLabeling] = None,
@@ -92,25 +131,9 @@ def enumerate_contracting_sets(
 ) -> Iterator[ContractingSet]:
     """All contracting sets, each exactly once, in contract-first branch order."""
     lab = lab or canonical_labeling(g, pointed_as_zero)
-    order = _decreasing_order(g, lab, pointed_as_zero)
-
-    def walk(graph: ColoredMultigraph, i: int, chosen: list):
-        if i == len(order):
-            c = frozenset(e for e, in_c in chosen if in_c)
-            d = frozenset(e for e, in_c in chosen if not in_c)
-            yield ContractingSet(c, d)
-            return
-        eid = order[i]
-        if not is_loop(graph, eid):
-            chosen.append((eid, True))
-            yield from walk(contract(graph, eid), i + 1, chosen)
-            chosen.pop()
-        if not is_bridge(graph, eid):
-            chosen.append((eid, False))
-            yield from walk(delete(graph, eid), i + 1, chosen)
-            chosen.pop()
-
-    yield from walk(g, 0, [])
+    for steps, _, _ in _walk(g, _decreasing_order(g, lab, pointed_as_zero)):
+        c = frozenset(eid for eid, act in steps if act in _CONTRACTED)
+        yield ContractingSet(c, frozenset(eid for eid, _ in steps) - c)
 
 
 def validate_contracting_set(
@@ -122,24 +145,10 @@ def validate_contracting_set(
     regular = set(g.regular_ids(pointed_as_zero))
     if cs.contracting | cs.deleting != regular or cs.contracting & cs.deleting:
         raise InvalidContractingSet("C and D must partition the regular edges")
-    parent: dict[str, str] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for eid in sorted(cs.contracting):
-        e = g.edge(eid)
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            raise InvalidContractingSet(f"C contains a cycle through {eid!r}")
-        parent[ru] = rv
-    pruned = ColoredMultigraph(
-        [e for e in g.edges if e.id not in cs.deleting], extra_vertices=g.vertex_set
-    )
-    if len(components(pruned)) != len(components(g)):
+    _, closing = union_find(g, cs.contracting)
+    if closing:
+        raise InvalidContractingSet(f"C contains a cycle through {closing[0]!r}")
+    if rank(g, (e.id for e in g.edges if e.id not in cs.deleting)) != rank(g, g.edge_ids()):
         raise InvalidContractingSet("D contains a cocycle")
 
 
@@ -148,23 +157,11 @@ def _replay(
     lab: ProperLabeling,
     cs: ContractingSet,
     pointed_as_zero: bool,
-    validate: bool = True,
 ) -> tuple[dict[str, Activity], ColoredMultigraph]:
-    if validate:
-        validate_contracting_set(g, cs, pointed_as_zero)
-    order = _decreasing_order(g, lab, pointed_as_zero)
-    acts: dict[str, Activity] = {}
-    graph = g
-    for eid in order:
-        if eid in cs.contracting:
-            assert not is_loop(graph, eid), "contracting a loop in a valid contracting set"
-            acts[eid] = Activity.IA if is_bridge(graph, eid) else Activity.II
-            graph = contract(graph, eid)
-        else:
-            assert not is_bridge(graph, eid), "deleting a bridge in a valid contracting set"
-            acts[eid] = Activity.EA if is_loop(graph, eid) else Activity.EI
-            graph = delete(graph, eid)
-    return acts, graph
+    validate_contracting_set(g, cs, pointed_as_zero)
+    for steps, _, graph in _walk(g, _decreasing_order(g, lab, pointed_as_zero), cs):
+        return dict(steps), graph
+    raise InvariantBreach("a valid contracting set has no leaf in the deletion-contraction walk")
 
 
 def activities(
@@ -174,8 +171,7 @@ def activities(
     pointed_as_zero: bool = False,
 ) -> dict[str, Activity]:
     """Activities by replaying contractions/deletions in decreasing label order."""
-    acts, _ = _replay(g, lab, cs, pointed_as_zero)
-    return acts
+    return _replay(g, lab, cs, pointed_as_zero)[0]
 
 
 def terminal_graph(
@@ -185,81 +181,7 @@ def terminal_graph(
     pointed_as_zero: bool = False,
 ) -> ColoredMultigraph:
     """The all-zero-edge graph left after processing in decreasing label order."""
-    _, graph = _replay(g, lab, cs, pointed_as_zero)
-    return graph
-
-
-def activities_via_cycles(
-    g: ColoredMultigraph,
-    lab: ProperLabeling,
-    cs: ContractingSet,
-    pointed_as_zero: bool = False,
-) -> dict[str, Activity]:
-    """Independent activity oracle via explicit cycle/cocycle subset search.
-
-    An edge of C is internally active iff some cocycle inside D+{e} has e as
-    its smallest edge; an edge of D is externally active iff some cycle inside
-    C+{f} has f as its smallest edge. Exponential in |C| and |D|; intended for
-    cross-checking on small graphs.
-    """
-    validate_contracting_set(g, cs, pointed_as_zero)
-    lab.validate(g, pointed_as_zero)
-    acts: dict[str, Activity] = {}
-    d_sorted = sorted(cs.deleting)
-    c_sorted = sorted(cs.contracting)
-    for eid in c_sorted:
-        active = False
-        for r in range(len(d_sorted) + 1):
-            for extra in combinations(d_sorted, r):
-                cand = set(extra) | {eid}
-                if _is_cocycle(g, cand) and all(lab[eid] < lab[f] for f in extra):
-                    active = True
-                    break
-            if active:
-                break
-        acts[eid] = Activity.IA if active else Activity.II
-    for eid in d_sorted:
-        active = False
-        for r in range(len(c_sorted) + 1):
-            for extra in combinations(c_sorted, r):
-                cand = set(extra) | {eid}
-                if _is_cycle(g, cand) and all(lab[eid] < lab[f] for f in extra):
-                    active = True
-                    break
-            if active:
-                break
-        acts[eid] = Activity.EA if active else Activity.EI
-    return acts
-
-
-def _is_cycle(g: ColoredMultigraph, ids: set) -> bool:
-    """True iff the edge set forms one single cycle (a lone loop counts)."""
-    deg: dict[str, int] = {}
-    for eid in ids:
-        e = g.edge(eid)
-        deg[e.u] = deg.get(e.u, 0) + 1
-        deg[e.v] = deg.get(e.v, 0) + 1
-        if e.is_loop:
-            return len(ids) == 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    sub = ColoredMultigraph([g.edge(eid) for eid in ids])
-    return len(components(sub)) == 1
-
-
-def _is_cocycle(g: ColoredMultigraph, ids: set) -> bool:
-    """True iff the edge set is a minimal cut of g."""
-    base = len(components(g))
-
-    def comps_without(removed):
-        rest = ColoredMultigraph(
-            [e for e in g.edges if e.id not in removed], extra_vertices=g.vertex_set
-        )
-        return len(components(rest))
-
-    if comps_without(ids) <= base:
-        return False
-    return all(comps_without(ids - {x}) == base for x in ids)
+    return _replay(g, lab, cs, pointed_as_zero)[1]
 
 
 def universal_tutte_statesum(
@@ -270,42 +192,10 @@ def universal_tutte_statesum(
     """State sum over all contracting sets; linear in the z-symbols."""
     _check_colors(g)
     lab = lab or canonical_labeling(g, pointed_as_zero)
-    order = _decreasing_order(g, lab, pointed_as_zero)
     terms: dict = {}
-    weight: dict = {}
-
-    def bump(kind, color, step):
-        key = (kind, color)
-        weight[key] = weight.get(key, 0) + step
-        if not weight[key]:
-            del weight[key]
-
-    def walk(graph: ColoredMultigraph, i: int):
-        if i == len(order):
-            m = monomial_key(weight.items(), (pivot_class_key(graph),))
-            terms[m] = terms.get(m, 0) + 1
-            return
-        eid = order[i]
-        e = graph.edge(eid)
-        loop = e.is_loop
-        bridge = (not loop) and is_bridge(graph, eid)
-        if loop:
-            bump("Y", e.color, 1)
-            walk(delete(graph, eid), i + 1)
-            bump("Y", e.color, -1)
-        elif bridge:
-            bump("X", e.color, 1)
-            walk(contract(graph, eid), i + 1)
-            bump("X", e.color, -1)
-        else:
-            bump("x", e.color, 1)
-            walk(contract(graph, eid), i + 1)
-            bump("x", e.color, -1)
-            bump("y", e.color, 1)
-            walk(delete(graph, eid), i + 1)
-            bump("y", e.color, -1)
-
-    walk(g, 0)
+    for _, weight, graph in _walk(g, _decreasing_order(g, lab, pointed_as_zero)):
+        m = monomial_key(weight.items(), (pivot_class_key(graph),))
+        terms[m] = terms.get(m, 0) + 1
     return RelPolynomial(terms)
 
 
@@ -328,11 +218,3 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
     return RelPolynomial.variable("x", e.color) * tutte_recursive(
         contract(g, eid), pointed_as_zero
     ) + RelPolynomial.variable("y", e.color) * tutte_recursive(delete(g, eid), pointed_as_zero)
-
-
-def weight_polynomial(acts: Mapping[str, Activity], g: ColoredMultigraph) -> RelPolynomial:
-    """Product of per-edge activity weights."""
-    out = RelPolynomial.const(1)
-    for eid, act in acts.items():
-        out = out * RelPolynomial.variable(_WEIGHT_KIND[act], g.edge(eid).color)
-    return out

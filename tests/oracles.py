@@ -9,9 +9,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from typing import Mapping
 
-from reltutte import ColoredMultigraph, EdgeRecord
-from reltutte.graph import components
+from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable
+from reltutte.errors import LoopTwoSum
+from reltutte.graph import _glue_along_edge, components, is_bridge, is_loop
+from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph
+from reltutte.tutte import (
+    _WEIGHT_KIND,
+    Activity,
+    ContractingSet,
+    ProperLabeling,
+    canonical_labeling,
+    terminal_graph,
+    validate_contracting_set,
+)
 
 
 # -- rank / classical Tutte -------------------------------------------------------
@@ -367,3 +379,129 @@ def connected_multigraph_structures(max_edges: int, min_edges: int = 1):
                     continue
                 edges = [EdgeRecord(f"e{k}", u, v, "c", False, False) for k, (u, v) in enumerate(chosen)]
                 yield ColoredMultigraph(edges, extra_vertices=verts)
+
+
+# -- activities, weights and types by other routes ----------------------------------
+
+
+def activities_via_cycles(
+    g: ColoredMultigraph,
+    lab: ProperLabeling,
+    cs: ContractingSet,
+    pointed_as_zero: bool = False,
+) -> dict[str, Activity]:
+    """Independent activity oracle via explicit cycle/cocycle subset search.
+
+    An edge of C is internally active iff some cocycle inside D+{e} has e as
+    its smallest edge; an edge of D is externally active iff some cycle inside
+    C+{f} has f as its smallest edge. Exponential in |C| and |D|; intended for
+    cross-checking on small graphs.
+    """
+    validate_contracting_set(g, cs, pointed_as_zero)
+    lab.validate(g, pointed_as_zero)
+    acts: dict[str, Activity] = {}
+    d_sorted = sorted(cs.deleting)
+    c_sorted = sorted(cs.contracting)
+    for eid in c_sorted:
+        active = False
+        for r in range(len(d_sorted) + 1):
+            for extra in combinations(d_sorted, r):
+                cand = set(extra) | {eid}
+                if _is_cocycle(g, cand) and all(lab[eid] < lab[f] for f in extra):
+                    active = True
+                    break
+            if active:
+                break
+        acts[eid] = Activity.IA if active else Activity.II
+    for eid in d_sorted:
+        active = False
+        for r in range(len(c_sorted) + 1):
+            for extra in combinations(c_sorted, r):
+                cand = set(extra) | {eid}
+                if _is_cycle(g, cand) and all(lab[eid] < lab[f] for f in extra):
+                    active = True
+                    break
+            if active:
+                break
+        acts[eid] = Activity.EA if active else Activity.EI
+    return acts
+
+
+def _is_cycle(g: ColoredMultigraph, ids: set) -> bool:
+    """True iff the edge set forms one single cycle (a lone loop counts)."""
+    deg: dict[str, int] = {}
+    for eid in ids:
+        e = g.edge(eid)
+        deg[e.u] = deg.get(e.u, 0) + 1
+        deg[e.v] = deg.get(e.v, 0) + 1
+        if e.is_loop:
+            return len(ids) == 1
+    if any(d != 2 for d in deg.values()):
+        return False
+    sub = ColoredMultigraph([g.edge(eid) for eid in ids])
+    return len(components(sub)) == 1
+
+
+def _is_cocycle(g: ColoredMultigraph, ids: set) -> bool:
+    """True iff the edge set is a minimal cut of g."""
+    base = len(components(g))
+
+    def comps_without(removed):
+        rest = ColoredMultigraph(
+            [e for e in g.edges if e.id not in removed], extra_vertices=g.vertex_set
+        )
+        return len(components(rest))
+
+    if comps_without(ids) <= base:
+        return False
+    return all(comps_without(ids - {x}) == base for x in ids)
+
+
+def weight_polynomial(acts: Mapping[str, Activity], g: ColoredMultigraph) -> RelPolynomial:
+    """Product of per-edge activity weights."""
+    out = RelPolynomial.const(1)
+    for eid, act in acts.items():
+        out = out * RelPolynomial.variable(_WEIGHT_KIND[act], g.edge(eid).color)
+    return out
+
+
+def _classify_by_terminal_status(pg: PointedGraph, cs: ContractingSet) -> str:
+    """Cross-check: contract C and delete D, then look at the pointed edge."""
+    lab = canonical_labeling(pg.graph, pointed_as_zero=True)
+    t = terminal_graph(pg.graph, lab, cs, pointed_as_zero=True)
+    if is_loop(t, pg.pointed_id):
+        return TYPE_C
+    if is_bridge(t, pg.pointed_id):
+        return TYPE_D
+    return TYPE_ZERO
+
+
+# -- ideal generators and 2-sums --------------------------------------------------------
+
+
+def ideal_generators(lam: str, mu: str) -> tuple[RelPolynomial, RelPolynomial]:
+    """The two determinant-difference generators for a pair of colors."""
+    x_l, x_m = variable("x", lam), variable("x", mu)
+    y_l, y_m = variable("y", lam), variable("y", mu)
+    cx_l, cx_m = variable("X", lam), variable("X", mu)
+    cy_l, cy_m = variable("Y", lam), variable("Y", mu)
+    gen_a = (cx_l * y_m - cx_m * y_l) - (x_l * cy_m - x_m * cy_l)
+    gen_b = (x_l * cy_m - x_m * cy_l) - (x_l * y_m - x_m * y_l)
+    return gen_a, gen_b
+
+
+def two_sum(
+    base: ColoredMultigraph,
+    base_edge: str,
+    patch: ColoredMultigraph,
+    patch_edge: str,
+    flip: bool = False,
+) -> ColoredMultigraph:
+    """2-sum: identify two non-loop edges endpoint-to-endpoint and remove both.
+
+    Endpoints are matched in ascending vertex-id order on both sides unless
+    ``flip`` reverses the base side.
+    """
+    if base.edge(base_edge).is_loop:
+        raise LoopTwoSum(f"base edge {base_edge!r} is a loop")
+    return _glue_along_edge(base, base_edge, patch, patch_edge, f"{base_edge}.", flip)

@@ -172,3 +172,84 @@ def test_suite_parallel_output_matches_serial(capsys):
     assert main(["suite", "--instances", "3", "--seed", "9", "--only", "tensor-formula", "--jobs", "3"]) == 0
     parallel = capsys.readouterr().out
     assert serial.replace("jobs=1", "jobs=3") == parallel
+
+
+def test_unreadable_input_exit_2(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin.graph"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, not_utf8):
+        assert main(["tutte", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_counts_below_one_rejected(flag, value, base_file, patch_file, capsys):
+    for argv in (["verify", base_file, patch_file, "--color", "lam"], ["suite", "--instances", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_suite_trials_take_effect(monkeypatch, capsys):
+    import reltutte.suite as suite
+
+    seen = []
+    real = suite.equal_mod_ideal
+
+    def spy(p, q, trials, seed):
+        seen.append(trials)
+        return real(p, q, trials=trials, seed=seed)
+
+    monkeypatch.setattr(suite, "equal_mod_ideal", spy)
+    args = ["suite", "--instances", "2", "--only", "labeling-independence", "--only", "pointed-identities"]
+    assert main(args + ["--trials", "5"]) == 0
+    assert "trials=5" in capsys.readouterr().out
+    assert seen and set(seen) == {5}
+
+
+def test_suite_jobs_clamped(monkeypatch):
+    import reltutte.suite as suite
+
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 4)
+    assert suite.worker_count(1, 10) == 1
+    assert suite.worker_count(3, 10) == 3
+    assert suite.worker_count(64, 10) == 4
+    assert suite.worker_count(64, 2) == 2
+    assert suite.worker_count(8, 0) == 1
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: None)
+    assert suite.worker_count(8, 10) == 1
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", FakePool)
+    result = suite.run_suite("labeling-independence", 3, seed=1, jobs=1000)
+    assert result.ok and pools == [2]
+
+
+def test_invariant_breach_exit_3(monkeypatch, parallel_file, capsys):
+    import reltutte.cli as cli
+    from reltutte.errors import InvariantBreach
+
+    def breach(g):
+        raise InvariantBreach("walk lost a leaf")
+
+    monkeypatch.setattr(cli, "universal_tutte_statesum", breach)
+    assert main(["tutte", parallel_file]) == 3
+    assert "walk lost a leaf" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from oracles import (
     connected_multigraph_structures,
     iso_classes,
     reference_canonical_code,
+    two_sum,
 )
 from reltutte import (
     ColoredMultigraph,
@@ -25,7 +26,6 @@ from reltutte import (
     pivot_class_key,
     recolor_subset,
     splice_all,
-    two_sum,
     vertex_pivot,
 )
 from reltutte.errors import (

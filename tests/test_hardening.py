@@ -3,7 +3,7 @@
 import random
 
 from conftest import G
-from oracles import colored_isomorphic
+from oracles import colored_isomorphic, weight_polynomial
 from reltutte import (
     ColoredMultigraph,
     EdgeRecord,
@@ -25,7 +25,6 @@ from reltutte.tutte import (
     canonical_labeling,
     enumerate_contracting_sets,
     terminal_graph,
-    weight_polynomial,
     activities,
 )
 
@@ -133,3 +132,21 @@ def test_pointed_status_matches_direct_inspection():
             e = nu[0]
             want = "loop" if is_loop(rep, e.id) else "bridge" if is_bridge(rep, e.id) else "inner"
             assert key.pointed_status() == want
+
+
+def test_library_has_no_assert_statements():
+    # invariants must hold under python -O, which strips assert statements
+    import ast
+    import pathlib
+
+    import reltutte
+
+    src = pathlib.Path(reltutte.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.glob("*.py"))) > 5
+    assert found == []

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from conftest import G
-from oracles import acyclic, cocycle_free
+from oracles import (
+    _classify_by_terminal_status,
+    acyclic,
+    cocycle_free,
+    connected_multigraph_structures,
+    iso_classes,
+    patch_graph_family,
+)
 from reltutte import (
     PointedGraph,
     RelPolynomial,
@@ -83,6 +90,19 @@ def test_type_characterization_exhaustive():
                 assert with_e_ok and not plain_ok
             else:
                 assert plain_ok and with_e_ok
+
+
+def test_classify_pair_matches_terminal_status_oracle():
+    # the exhaustive patch family of criterion 7, then seeded random patches
+    patches = patch_graph_family(iso_classes(connected_multigraph_structures(4)))
+    for i in range(30):
+        patches.append(random_pointed_graph(random.Random(derived_seed(32, i)), max_regular=4, zero_edges=(0, 2)))
+    checked = 0
+    for pg in patches:
+        for cs in enumerate_contracting_sets(pg.graph, pointed_as_zero=True):
+            assert classify_pair(pg, cs) == _classify_by_terminal_status(pg, cs)
+            checked += 1
+    assert checked > len(patches)
 
 
 def test_pi_filters():

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G
+from oracles import ideal_generators
 from reltutte import (
     EMPTY_KEY,
     EvaluationPoint,
     RelPolynomial,
     equal_mod_ideal,
     evaluate,
-    ideal_generators,
     pivot_class_key,
     specialize_psi,
     variable,

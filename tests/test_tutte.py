@@ -4,6 +4,7 @@ import pytest
 
 from conftest import G
 from oracles import (
+    activities_via_cycles,
     brute_contracting_sets,
     classical_tutte,
     connected_multigraph_structures,
@@ -15,7 +16,6 @@ from reltutte import (
     ProperLabeling,
     RelPolynomial,
     activities,
-    activities_via_cycles,
     canonical_labeling,
     enumerate_contracting_sets,
     equal_mod_ideal,
@@ -98,6 +98,15 @@ def test_invalid_contracting_set_rejected(triangle):
         activities(triangle, lab, _cs(c={"e1", "e2", "e3"}))
     with pytest.raises(InvalidContractingSet):
         terminal_graph(triangle, lab, _cs(c={"e1"}, d={"e2", "e3"}))
+
+
+def test_unvalidated_set_without_leaf_is_invariant_breach(triangle, monkeypatch):
+    import reltutte.tutte as tutte
+    from reltutte.errors import InvariantBreach
+
+    monkeypatch.setattr(tutte, "validate_contracting_set", lambda *args: None)
+    with pytest.raises(InvariantBreach):
+        activities(triangle, canonical_labeling(triangle), _cs(c={"e1", "e2", "e3"}))
 
 
 def test_activity_definitions_agree_exhaustively():
