@@ -63,7 +63,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=_positive_int, default=32)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--flip-orientation", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--color", required=True, help="regular color of g1 to replace")
     p.add_argument("--out", help="write the product graph file here")
     _add_common(p)
+    p.add_argument("--flip-orientation", action="store_true")
 
     p = sub.add_parser("verify", help="check the substitution formula on an instance")
     p.add_argument("g1")
@@ -91,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--color", required=True)
     p.add_argument("--corrupt-rhs", action="store_true", help=argparse.SUPPRESS)
     _add_common(p)
+    p.add_argument("--flip-orientation", action="store_true")
 
     p = sub.add_parser("suite", help="run the randomized verification suites")
     p.add_argument("--instances", type=int, default=10)

@@ -159,15 +159,6 @@ class ColoredMultigraph:
     def zero_colors(self) -> tuple[str, ...]:
         return tuple(sorted({e.color for e in self._edges.values() if e.is_zero}))
 
-    def adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        """Map vertex -> [(neighbor, edge id)]; loops appear once."""
-        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self._vertices}
-        for e in self._edges.values():
-            adj[e.u].append((e.v, e.id))
-            if not e.is_loop:
-                adj[e.v].append((e.u, e.id))
-        return adj
-
     def __eq__(self, other):
         if not isinstance(other, ColoredMultigraph):
             return NotImplemented
@@ -185,31 +176,6 @@ def single_vertex(name: str = "0") -> ColoredMultigraph:
 
 
 # -- connectivity --------------------------------------------------------------
-
-
-def components(g: ColoredMultigraph) -> list[frozenset]:
-    adj = g.adjacency()
-    seen: set[str] = set()
-    out = []
-    for start in sorted(g.vertex_set):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        out.append(frozenset(comp))
-    return out
-
-
-def is_connected(g: ColoredMultigraph) -> bool:
-    return len(components(g)) <= 1
 
 
 def union_find(g: ColoredMultigraph, ids: Iterable[str]) -> tuple[Callable[[str], str], list[str]]:
@@ -243,6 +209,19 @@ def rank(g: ColoredMultigraph, ids: Iterable[str]) -> int:
     return len(ids) - len(union_find(g, ids)[1])
 
 
+def components(g: ColoredMultigraph) -> list[frozenset]:
+    """Vertex sets of the connected components, ordered by least vertex."""
+    find, _ = union_find(g, g.edge_ids())
+    groups: dict[str, set] = {}
+    for v in sorted(g.vertex_set):
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(c) for c in groups.values()]
+
+
+def is_connected(g: ColoredMultigraph) -> bool:
+    return len(g.vertex_set) - rank(g, g.edge_ids()) <= 1
+
+
 def contract(g: ColoredMultigraph, eid: str) -> ColoredMultigraph:
     """Merge the endpoints of a non-loop edge; the smaller vertex id survives."""
     e = g.edge(eid)
@@ -272,20 +251,19 @@ def is_loop(g: ColoredMultigraph, eid: str) -> bool:
 
 
 def is_bridge(g: ColoredMultigraph, eid: str) -> bool:
+    """Whether the other edges leave the endpoints of eid apart (never for a loop)."""
     e = g.edge(eid)
-    if e.is_loop:
-        return False
-    return len(components(delete(g, eid))) > len(components(g))
+    find, _ = union_find(g, (f for f in g.edge_ids() if f != e.id))
+    return find(e.u) != find(e.v)
 
 
 def cutpoints(g: ColoredMultigraph) -> tuple[str, ...]:
     """Vertices whose removal increases the component count."""
-    base = len(components(g))
+    full = rank(g, g.edge_ids())
     out = []
     for v in sorted(g.vertex_set):
-        edges = [e for e in g.edges if v not in (e.u, e.v)]
-        rest = ColoredMultigraph(edges, extra_vertices=g.vertex_set - {v})
-        if len(components(rest)) > base:
+        # removing v drops one vertex; the count grows when the rank drops by more
+        if full - rank(g, (e.id for e in g.edges if v not in (e.u, e.v))) > 1:
             out.append(v)
     return tuple(out)
 
@@ -642,9 +620,9 @@ def vertex_pivot(g: ColoredMultigraph, cutpoint: str, reattach: tuple[str, str])
         raise NotACutpoint(f"{cutpoint!r} is not a cutpoint")
     if a == cutpoint or a not in g.vertex_set:
         raise BadReattachChoice(f"{a!r} must be a vertex distinct from the cutpoint")
-    rest_edges = [e for e in g.edges if cutpoint not in (e.u, e.v)]
-    rest = ColoredMultigraph(rest_edges, extra_vertices=g.vertex_set - {cutpoint})
-    side = next(c for c in components(rest) if a in c)
+    find, _ = union_find(g, (e.id for e in g.edges if cutpoint not in (e.u, e.v)))
+    root = find(a)
+    side = {v for v in g.vertex_set - {cutpoint} if find(v) == root}
     if not any(e.other_end(cutpoint) in side for e in g.edges if cutpoint in (e.u, e.v) and not e.is_loop):
         raise BadReattachChoice(f"the component of {a!r} is not attached to the cutpoint")
     if b in side or b not in g.vertex_set:

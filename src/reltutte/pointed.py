@@ -82,16 +82,16 @@ def classify_pair(pg: PointedGraph, cs: ContractingSet) -> str:
 
 
 def _map_z_linear(p: RelPolynomial, fn) -> RelPolynomial:
-    """Apply key -> (coefficient multiplier, new key or None) to a z-linear polynomial."""
-    out = RelPolynomial.zero()
+    """Apply key -> new key, or None to drop the monomial, to a z-linear polynomial."""
+    parts = []
     for (vars_, zs), coeff in p.terms():
         if len(zs) != 1:
             raise NotLinearInZ("operation requires exactly one z-symbol per monomial")
         new_key = fn(zs[0])
         if new_key is None:
             continue
-        out = out + RelPolynomial.monomial(coeff, vars_, (new_key,))
-    return out
+        parts.append(RelPolynomial.monomial(coeff, vars_, (new_key,)))
+    return RelPolynomial.sum(parts)
 
 
 def pi_C(p: RelPolynomial) -> RelPolynomial:

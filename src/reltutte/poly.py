@@ -11,7 +11,6 @@ vanish identically.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Callable, Iterable, Mapping, Union
 
@@ -99,6 +98,24 @@ class RelPolynomial:
         """Build c * prod (kind,color)^exp * prod z_key from raw parts."""
         return RelPolynomial({monomial_key(vars_, zkeys): int(coeff)})
 
+    @staticmethod
+    def sum(polys: Iterable["RelPolynomial"]) -> "RelPolynomial":
+        """The sum of polys in one pass, equal to folding them with ``+``.
+
+        As with ``+``, a monomial keeps the key object of its first addend, and
+        one whose coefficient cancels is dropped, so a later addend brings its
+        own key object back.
+        """
+        acc: dict = {}
+        for p in polys:
+            for m, c in p._terms.items():
+                c += acc.get(m, 0)
+                if c:
+                    acc[m] = c
+                else:
+                    del acc[m]
+        return RelPolynomial(acc)
+
     # -- inspection -------------------------------------------------------------
 
     @property
@@ -126,9 +143,6 @@ class RelPolynomial:
         for vars_, zs in self._terms:
             deg = max(deg, sum(e for _, e in vars_) + len(zs))
         return deg
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -242,17 +256,13 @@ def z_symbol(key: PivotClassKey) -> RelPolynomial:
 # -- evaluation -----------------------------------------------------------------------
 
 
-def _hashed_int(seed: int, tag: str, payload: str, lo: int, hi: int) -> int:
-    digest = hashlib.sha256(f"{seed}|{tag}|{payload}".encode()).digest()
-    return lo + int.from_bytes(digest[:8], "big") % (hi - lo + 1)
-
-
 class EvaluationPoint:
     """Numeric assignment that annihilates the ideal by construction.
 
     Per color the point stores integers (x, y); the active weights derive as
     X = x + beta*y and Y = y + alpha*x with two global scalars. z-symbols get
-    explicit values or a deterministic seeded-hash default in [2, bound].
+    explicit values. A color or z-symbol the point does not hold raises
+    MissingKey.
     """
 
     def __init__(
@@ -261,25 +271,17 @@ class EvaluationPoint:
         alpha: int = 0,
         beta: int = 0,
         z_values: Mapping[PivotClassKey, int] | None = None,
-        seed: int = 0,
-        bound: int = 101,
     ):
         self._xy = dict(xy or {})
         self.alpha = int(alpha)
         self.beta = int(beta)
         self._z = dict(z_values or {})
-        self.seed = int(seed)
-        self.bound = max(int(bound), 2)
-
-    def _xy_for(self, color: str) -> tuple[int, int]:
-        if color not in self._xy:
-            x = _hashed_int(self.seed, "x", color, -self.bound, self.bound)
-            y = _hashed_int(self.seed, "y", color, -self.bound, self.bound)
-            self._xy[color] = (x, y)
-        return self._xy[color]
 
     def var_value(self, kind: str, color: str) -> int:
-        x, y = self._xy_for(color)
+        try:
+            x, y = self._xy[color]
+        except KeyError:
+            raise MissingKey(f"no value for color {color!r}") from None
         if kind == "x":
             return x
         if kind == "y":
@@ -291,9 +293,10 @@ class EvaluationPoint:
         raise ValueError(f"unknown variable kind {kind!r}")
 
     def z_value(self, key: PivotClassKey) -> int:
-        if key in self._z:
+        try:
             return self._z[key]
-        return _hashed_int(self.seed, "z", ",".join(key.codes), 2, self.bound)
+        except KeyError:
+            raise MissingKey(f"no value for {key.render()}") from None
 
     @staticmethod
     def random(colors: Iterable[str], keys: Iterable[PivotClassKey], bound: int, rng: random.Random) -> "EvaluationPoint":
@@ -304,8 +307,6 @@ class EvaluationPoint:
             alpha=rng.randint(-bound, bound),
             beta=rng.randint(-bound, bound),
             z_values=zv,
-            seed=rng.randint(0, 2**31),
-            bound=bound,
         )
 
 
@@ -355,7 +356,7 @@ def specialize_psi(
 ) -> RelPolynomial:
     """Substitute every z-symbol of a z-linear polynomial by its psi image."""
     lookup = psi if callable(psi) else psi.__getitem__
-    out = RelPolynomial.zero()
+    parts = []
     for (vars_, zs), coeff in p.terms():
         if len(zs) > 1:
             raise NotLinearInZ(f"monomial carries {len(zs)} z-symbols")
@@ -369,5 +370,5 @@ def specialize_psi(
             if any(z for _, z in image._terms):
                 raise NotLinearInZ("psi image must be free of z-symbols")
             base = base * image
-        out = out + base
-    return out
+        parts.append(base)
+    return RelPolynomial.sum(parts)

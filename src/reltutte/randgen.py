@@ -29,7 +29,6 @@ class RandomInstanceSpec:
     colors: int = 2
     lambda_edges: tuple[int, int] = (1, 3)
     connected: bool = True
-    allow_loops: bool = True
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -47,7 +46,7 @@ def random_graph(rng: random.Random, spec: RandomInstanceSpec) -> ColoredMultigr
         ok = True
         for i in range(m + h):
             u = rng.choice(verts)
-            if spec.allow_loops and rng.random() < 0.1:
+            if rng.random() < 0.1:
                 v = u
             else:
                 v = rng.choice(verts)

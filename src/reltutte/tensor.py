@@ -232,15 +232,15 @@ def beta_lambda(p: RelPolynomial, lam: str, pp: PointedPolynomials) -> RelPolyno
             powers[(kind, exp)] = images[kind] ** exp
         return powers[(kind, exp)]
 
-    out = RelPolynomial.zero()
+    parts = []
     for (vars_, zs), coeff in p.terms():
         rest = [(vc, e) for vc, e in vars_ if vc[1] != lam]
         factor = RelPolynomial.monomial(coeff, rest, zs)
         for (kind, color), exp in vars_:
             if color == lam:
                 factor = factor * power(kind, exp)
-        out = out + factor
-    return out
+        parts.append(factor)
+    return RelPolynomial.sum(parts)
 
 
 def sigma(p: RelPolynomial) -> RelPolynomial:
@@ -276,7 +276,7 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
     demoted edges pass through; with a zero t0 they are annihilated.
     """
     parts = decompose_z_linear(t0) if not t0.is_zero else []
-    out = RelPolynomial.zero()
+    out = []
     for (vars_, zs), coeff in p.terms():
         if len(zs) != 1:
             raise NotLinearInZ("expected exactly one z-symbol per monomial")
@@ -284,7 +284,7 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
         rep = key.representative
         demoted = sorted(e.id for e in rep.edges if e.color == RECOLOR_ZERO)
         if not demoted:
-            out = out + RelPolynomial.monomial(coeff, vars_, zs)
+            out.append(RelPolynomial.monomial(coeff, vars_, zs))
             continue
         base_poly = RelPolynomial.monomial(coeff, vars_, ())
         for assignment in iter_product(range(len(parts)), repeat=len(demoted)):
@@ -296,21 +296,21 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
                 nu_id = next(e.id for e in patch.edges if e.is_pointed)
                 glued = _glue_along_edge(glued, eid, patch, nu_id, f"{eid}.", flip=flip)
                 weight = weight * pj
-            out = out + weight * RelPolynomial.z_symbol(pivot_class_key(glued))
-    return out
+            out.append(weight * RelPolynomial.z_symbol(pivot_class_key(glued)))
+    return RelPolynomial.sum(out)
 
 
 def substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPolynomial:
     """The substitution pipeline side: sum over demoted subsets of the replaced color."""
     pp = pointed_polys(ti.g2)
     lam_ids = ti.lambda_edge_ids()
-    total = RelPolynomial.zero()
+    parts = []
     for mask in range(1 << len(lam_ids)):
         s = frozenset(lam_ids[i] for i in range(len(lam_ids)) if mask >> i & 1)
         g1s = recolor_subset(ti.g1, s, RECOLOR_ZERO)
         u = universal_tutte_statesum(g1s)
-        total = total + beta_zero(sigma(beta_lambda(u, ti.lam, pp)), pp.t0, flip=flip)
-    return total
+        parts.append(beta_zero(sigma(beta_lambda(u, ti.lam, pp)), pp.t0, flip=flip))
+    return RelPolynomial.sum(parts)
 
 
 @dataclass(frozen=True)

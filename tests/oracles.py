@@ -13,7 +13,7 @@ from typing import Mapping
 
 from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable
 from reltutte.errors import LoopTwoSum
-from reltutte.graph import _glue_along_edge, components, is_bridge, is_loop
+from reltutte.graph import _glue_along_edge, is_loop
 from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph
 from reltutte.tutte import (
     _WEIGHT_KIND,
@@ -26,13 +26,66 @@ from reltutte.tutte import (
 )
 
 
+# -- connectivity by breadth-first search ----------------------------------------
+
+
+def reference_components(g: ColoredMultigraph) -> list[frozenset]:
+    """Vertex sets of the connected components by search, ordered by least vertex."""
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_set}
+    for e in g.edges:
+        adj[e.u].append((e.v, e.id))
+        if not e.is_loop:
+            adj[e.v].append((e.u, e.id))
+    seen: set[str] = set()
+    out = []
+    for start in sorted(g.vertex_set):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            for w, _ in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        out.append(frozenset(comp))
+    return out
+
+
+def _without(g: ColoredMultigraph, removed) -> ColoredMultigraph:
+    """g minus the edges in removed, keeping every vertex."""
+    return ColoredMultigraph([e for e in g.edges if e.id not in removed], extra_vertices=g.vertex_set)
+
+
+def reference_is_bridge(g: ColoredMultigraph, eid: str) -> bool:
+    """A non-loop edge whose deletion increases the component count."""
+    if g.edge(eid).is_loop:
+        return False
+    return len(reference_components(_without(g, {eid}))) > len(reference_components(g))
+
+
+def reference_cutpoints(g: ColoredMultigraph) -> tuple[str, ...]:
+    """Vertices whose removal increases the component count."""
+    base = len(reference_components(g))
+    out = []
+    for v in sorted(g.vertex_set):
+        edges = [e for e in g.edges if v not in (e.u, e.v)]
+        rest = ColoredMultigraph(edges, extra_vertices=g.vertex_set - {v})
+        if len(reference_components(rest)) > base:
+            out.append(v)
+    return tuple(out)
+
+
 # -- rank / classical Tutte -------------------------------------------------------
 
 
 def edge_rank(g: ColoredMultigraph, ids) -> int:
     """r(A) = |V| - #components of (V, A)."""
     sub = ColoredMultigraph([g.edge(e) for e in ids], extra_vertices=g.vertex_set)
-    return len(g.vertex_set) - len(components(sub))
+    return len(g.vertex_set) - len(reference_components(sub))
 
 
 def classical_tutte(g: ColoredMultigraph) -> dict:
@@ -119,8 +172,7 @@ def acyclic(g: ColoredMultigraph, ids) -> bool:
 
 
 def cocycle_free(g: ColoredMultigraph, ids) -> bool:
-    rest = ColoredMultigraph([e for e in g.edges if e.id not in set(ids)], extra_vertices=g.vertex_set)
-    return len(components(rest)) == len(components(g))
+    return len(reference_components(_without(g, set(ids)))) == len(reference_components(g))
 
 
 def brute_contracting_sets(g: ColoredMultigraph, pointed_as_zero: bool = False) -> list:
@@ -148,7 +200,7 @@ def _subset_is_cycle(g: ColoredMultigraph, ids) -> bool:
     if not deg or any(d != 2 for d in deg.values()):
         return False
     sub = ColoredMultigraph([g.edge(eid) for eid in ids])
-    return len(components(sub)) == 1
+    return len(reference_components(sub)) == 1
 
 
 def blocks_bruteforce(g: ColoredMultigraph) -> list[frozenset]:
@@ -315,7 +367,7 @@ def base_graph_family(structures, lam_counts=(1, 2), max_zero=1, regular_cap=Non
 def patch_graph_family(structures, max_zero=1, regular_cap=None):
     """Pointed patches: one edge recolored nu/pointed (must be neither loop
     nor bridge), optionally one zero edge, the rest mu; deduplicated."""
-    from reltutte import PointedGraph, canonical_code, is_bridge
+    from reltutte import PointedGraph, canonical_code
     from reltutte.errors import EngineError
 
     fam = {}
@@ -323,7 +375,7 @@ def patch_graph_family(structures, max_zero=1, regular_cap=None):
         ids = sorted(g.edge_ids())
         for ep in ids:
             e = g.edge(ep)
-            if e.is_loop or is_bridge(g, ep):
+            if e.is_loop or reference_is_bridge(g, ep):
                 continue
             rest = [x for x in ids if x != ep]
             zero_choices = [()] + ([(x,) for x in rest] if max_zero else [])
@@ -439,18 +491,15 @@ def _is_cycle(g: ColoredMultigraph, ids: set) -> bool:
     if any(d != 2 for d in deg.values()):
         return False
     sub = ColoredMultigraph([g.edge(eid) for eid in ids])
-    return len(components(sub)) == 1
+    return len(reference_components(sub)) == 1
 
 
 def _is_cocycle(g: ColoredMultigraph, ids: set) -> bool:
     """True iff the edge set is a minimal cut of g."""
-    base = len(components(g))
+    base = len(reference_components(g))
 
     def comps_without(removed):
-        rest = ColoredMultigraph(
-            [e for e in g.edges if e.id not in removed], extra_vertices=g.vertex_set
-        )
-        return len(components(rest))
+        return len(reference_components(_without(g, removed)))
 
     if comps_without(ids) <= base:
         return False
@@ -471,7 +520,7 @@ def _classify_by_terminal_status(pg: PointedGraph, cs: ContractingSet) -> str:
     t = terminal_graph(pg.graph, lab, cs, pointed_as_zero=True)
     if is_loop(t, pg.pointed_id):
         return TYPE_C
-    if is_bridge(t, pg.pointed_id):
+    if reference_is_bridge(t, pg.pointed_id):
         return TYPE_D
     return TYPE_ZERO
 

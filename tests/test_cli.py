@@ -193,6 +193,17 @@ def test_counts_below_one_rejected(flag, value, base_file, patch_file, capsys):
         assert "must be at least 1" in capsys.readouterr().err
 
 
+def test_flip_orientation_only_where_read(base_file, patch_file, bridge_file, pointed_file, capsys):
+    # suite always checks both orientations, and tutte and pointed glue nothing
+    for argv in (["suite", "--instances", "1"], ["tutte", bridge_file], ["pointed", pointed_file]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--flip-orientation"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --flip-orientation" in capsys.readouterr().err
+    assert main(["verify", base_file, patch_file, "--color", "lam", "--flip-orientation"]) == 0
+    assert "flip=True" in capsys.readouterr().out
+
+
 def test_suite_trials_take_effect(monkeypatch, capsys):
     import reltutte.suite as suite
 

@@ -12,6 +12,9 @@ from oracles import (
     connected_multigraph_structures,
     iso_classes,
     reference_canonical_code,
+    reference_components,
+    reference_cutpoints,
+    reference_is_bridge,
     two_sum,
 )
 from reltutte import (
@@ -37,8 +40,20 @@ from reltutte.errors import (
     NotRegular,
     UnknownEdge,
 )
-from reltutte.graph import cutpoints, single_vertex
+from reltutte.graph import components, cutpoints, is_connected, single_vertex
 from reltutte.randgen import RandomInstanceSpec, derived_seed, random_graph
+
+# random corpora with loops, parallel edges and isolated vertices
+_SPEC_UP_TO_4 = RandomInstanceSpec(vertices=(2, 4), regular_edges=(1, 5), zero_edges=(0, 1), connected=False)
+_SPEC_UP_TO_5 = RandomInstanceSpec(vertices=(2, 5), regular_edges=(1, 6), zero_edges=(0, 1), connected=False)
+_SPEC_UP_TO_6 = RandomInstanceSpec(vertices=(2, 6), regular_edges=(1, 8), zero_edges=(0, 2), connected=False)
+_SPEC_UP_TO_7 = RandomInstanceSpec(vertices=(1, 7), regular_edges=(0, 7), zero_edges=(1, 5), colors=2, connected=False)
+_SPEC_SPLICE = RandomInstanceSpec(vertices=(1, 4), regular_edges=(0, 4), zero_edges=(0, 2), connected=False)
+
+
+def _splice_inputs(i):
+    rng = random.Random(derived_seed(12, i))
+    return [random_graph(rng, _SPEC_SPLICE) for _ in range(rng.randint(1, 3))]
 
 
 def test_contract_triangle_gives_parallel_pair(triangle):
@@ -88,6 +103,8 @@ def test_unknown_edge():
         delete(g, "nope")
     with pytest.raises(UnknownEdge):
         contract(g, "nope")
+    with pytest.raises(UnknownEdge):
+        is_bridge(g, "nope")
 
 
 def test_bridge_and_loop_predicates(triangle):
@@ -123,7 +140,7 @@ def test_blocks_triangle_with_pendant_matches_bruteforce():
 def test_blocks_partition_edges_randomized():
     for i in range(40):
         rng = random.Random(derived_seed(11, i))
-        g = random_graph(rng, RandomInstanceSpec(vertices=(2, 6), regular_edges=(1, 8), zero_edges=(0, 2), connected=False))
+        g = random_graph(rng, _SPEC_UP_TO_6)
         bs = blocks(g)
         ids = sorted(eid for b in bs for eid in b.edge_ids())
         assert ids == sorted(g.edge_ids())
@@ -200,11 +217,7 @@ def test_splice_triangle_and_bridge(triangle):
 
 def test_splice_key_is_union_of_input_keys():
     for i in range(25):
-        rng = random.Random(derived_seed(12, i))
-        gs = [
-            random_graph(rng, RandomInstanceSpec(vertices=(1, 4), regular_edges=(0, 4), zero_edges=(0, 2), connected=False))
-            for _ in range(rng.randint(1, 3))
-        ]
+        gs = _splice_inputs(i)
         got = pivot_class_key(splice_all(gs))
         want = tuple(sorted(sum((pivot_class_key(g).codes for g in gs), ())))
         assert got.codes == want
@@ -291,7 +304,7 @@ def test_color_discipline_enforced():
 def test_contract_delete_counts_randomized():
     for i in range(30):
         rng = random.Random(derived_seed(13, i))
-        g = random_graph(rng, RandomInstanceSpec(vertices=(2, 6), regular_edges=(1, 8), zero_edges=(0, 2), connected=False))
+        g = random_graph(rng, _SPEC_UP_TO_6)
         eid = rng.choice(sorted(g.edge_ids()))
         if not g.edge(eid).is_loop:
             got = contract(g, eid)
@@ -307,7 +320,7 @@ def test_pivot_key_agrees_with_block_multiset_comparator():
     for i in range(26):
         rng = random.Random(derived_seed(14, i))
         pool.append(
-            random_graph(rng, RandomInstanceSpec(vertices=(2, 5), regular_edges=(1, 6), zero_edges=(0, 1), connected=False))
+            random_graph(rng, _SPEC_UP_TO_5)
         )
     for i in range(len(pool)):
         for j in range(i, len(pool)):
@@ -320,7 +333,7 @@ def test_canonical_code_matches_bruteforce_isomorphism():
     for i in range(20):
         rng = random.Random(derived_seed(15, i))
         pool.append(
-            random_graph(rng, RandomInstanceSpec(vertices=(2, 4), regular_edges=(1, 5), zero_edges=(0, 1), connected=False))
+            random_graph(rng, _SPEC_UP_TO_4)
         )
     for i in range(len(pool)):
         for j in range(i, len(pool)):
@@ -353,9 +366,8 @@ def test_canonical_code_matches_reference_beam_on_small_structures():
 
 
 def test_canonical_code_matches_reference_beam_on_random_graphs():
-    spec = RandomInstanceSpec(vertices=(1, 7), regular_edges=(0, 7), zero_edges=(1, 5), colors=2, connected=False)
     for i in range(1500):
-        g = random_graph(random.Random(derived_seed(23, i)), spec)
+        g = random_graph(random.Random(derived_seed(23, i)), _SPEC_UP_TO_7)
         assert canonical_code(g) == reference_canonical_code(g), i
 
 
@@ -383,8 +395,8 @@ def test_pivot_keys_of_large_symmetric_zero_blocks_do_not_hang():
         assert len(key.codes) == 1
 
 
-def test_cutpoints_of_bowtie():
-    bowtie = G(
+def _bowtie():
+    return G(
         """
         edge a1 u p color=mu
         edge a2 p q color=mu
@@ -394,4 +406,23 @@ def test_cutpoints_of_bowtie():
         edge b3 s u color=mu
         """
     )
-    assert cutpoints(bowtie) == ("u",)
+
+
+def test_cutpoints_of_bowtie():
+    assert cutpoints(_bowtie()) == ("u",)
+
+
+def test_connectivity_matches_bfs_reference():
+    graphs = [_zero_cycle(3), _zero_cycle(8), _bowtie()]
+    # the random corpora of the tests above, drawn the same way
+    for seed, count, spec in ((11, 40, _SPEC_UP_TO_6), (13, 30, _SPEC_UP_TO_6), (14, 26, _SPEC_UP_TO_5),
+                              (15, 20, _SPEC_UP_TO_4), (23, 1500, _SPEC_UP_TO_7)):
+        graphs += [random_graph(random.Random(derived_seed(seed, i)), spec) for i in range(count)]
+    graphs += [g for i in range(25) for g in _splice_inputs(i)]
+    for g in graphs:
+        want = reference_components(g)
+        assert components(g) == want
+        assert is_connected(g) == (len(want) <= 1)
+        assert cutpoints(g) == reference_cutpoints(g)
+        for eid in g.edge_ids():
+            assert is_bridge(g, eid) == reference_is_bridge(g, eid), eid

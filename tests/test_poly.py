@@ -93,6 +93,11 @@ def test_evaluate_constant_and_z():
     pt = EvaluationPoint(xy={"a": (2, 0)}, z_values={EMPTY_KEY: 1})
     assert evaluate(RelPolynomial.const(5), pt) == 5
     assert evaluate(variable("x", "a") * z_symbol(EMPTY_KEY), pt) == 2
+    # a point holds only the values it is given
+    with pytest.raises(MissingKey):
+        evaluate(variable("x", "b"), pt)
+    with pytest.raises(MissingKey):
+        evaluate(z_symbol(BRIDGE_KEY), pt)
 
 
 def test_all_generators_vanish_at_random_points():
@@ -163,6 +168,28 @@ def test_product_identity_expansion_small_k():
             rhs = rhs + term
         rhs = (cy_m - y_m) * rhs
         assert equal_mod_ideal(lhs, rhs, trials=32, seed=k)
+
+
+def test_sum_equals_chained_addition():
+    rng = random.Random(31)
+    for _ in range(50):
+        polys = [_random_poly(rng) for _ in range(rng.randint(0, 6))]
+        polys += [-polys[0]] if polys else []
+        folded = RelPolynomial.zero()
+        for p in polys:
+            folded = folded + p
+        got = RelPolynomial.sum(polys)
+        assert got == folded
+        assert list(got._terms) == list(folded._terms)
+    # a monomial keeps its first key object until it cancels, then takes the next one
+    other = pivot_class_key(G("edge k a b color=z0 zero"))
+    assert other == BRIDGE_KEY and other.representative != BRIDGE_KEY.representative
+    for polys, rep in (
+        ([z_symbol(BRIDGE_KEY), z_symbol(other)], BRIDGE_KEY.representative),
+        ([z_symbol(BRIDGE_KEY), -z_symbol(other), z_symbol(other)], other.representative),
+    ):
+        ((_, (key,)),) = RelPolynomial.sum(polys)._terms
+        assert key.representative == rep
 
 
 def test_specialize_psi():
