@@ -51,11 +51,19 @@ class Emitter:
             self.out.write(text + "\n")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-orientation", action="store_true")
 
     p = sub.add_parser("suite", help="run the randomized verification suites")
-    p.add_argument("--instances", type=int, default=10)
+    p.add_argument("--instances", type=_non_negative_int, default=10)
     p.add_argument("--only", choices=all_suite_names(), action="append")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     _add_common(p)
@@ -171,7 +179,7 @@ def cmd_suite(args) -> int:
     names = args.only or list(all_suite_names())
     em.config(command="suite", seed=args.seed, trials=args.trials,
               instances=args.instances, jobs=args.jobs)
-    if args.instances <= 0:
+    if args.instances == 0:
         em.line("WARNING: 0 instances requested; suites pass vacuously")
     failed = False
     for name in names:

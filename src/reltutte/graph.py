@@ -361,14 +361,34 @@ def _twin_classes(loops, pc):
     return rep
 
 
+def _colour_count(masks, cand):
+    """Colour classes of a greedy sequential colouring of the bitmask cand.
+
+    Each class is an independent set, so the count is at least the size of
+    any clique inside cand.
+    """
+    colours = 0
+    while cand:
+        colours += 1
+        free = cand
+        while free:
+            v = free.bit_length() - 1
+            free &= ~(masks[v] | 1 << v)
+            cand &= ~(1 << v)
+    return colours
+
+
 def _maximum_cliques(masks, cand):
     """Every maximum clique inside the bitmask cand; masks[v] holds v's neighbours."""
     best, found = 0, []
-    # depth-first, each clique grown in decreasing vertex order so it is met once
+    # depth-first, each clique grown in decreasing vertex order so it is met once;
+    # a branch is cut only when it cannot reach best, so every maximum clique stays
     stack = [((), cand)]
     while stack:
         clique, cand = stack[-1]
-        if not cand or len(clique) + cand.bit_count() < best:
+        need = best - len(clique)
+        # one colour is never short of need <= 1, so the colouring can wait
+        if not cand or cand.bit_count() < need or (need > 1 and _colour_count(masks, cand) < need):
             stack.pop()
             continue
         v = cand.bit_length() - 1

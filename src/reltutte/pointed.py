@@ -51,6 +51,9 @@ class PointedGraph:
             raise NoPointedEdge("pointed graphs must be connected")
         self.graph = graph
         self.pointed_id = e.id
+        # computed on first use and kept for the life of this pointed graph
+        self._universal: RelPolynomial | None = None
+        self._polys: PointedPolynomials | None = None
 
     def contracted(self) -> ColoredMultigraph:
         return contract(self.graph, self.pointed_id)
@@ -150,19 +153,23 @@ class PointedPolynomials:
 
 
 def pointed_polys(pg: PointedGraph) -> PointedPolynomials:
-    """Compute all five pointed polynomials of a pointed graph."""
-    u = universal_tutte_statesum(pg.graph, pointed_as_zero=True)
-    t0 = pi_0(u)
-    tc = pi_contract(pi_C(u))
-    tl = pi_delete(pi_L(u))
-    tslash = universal_tutte_statesum(pg.contracted()) - pi_contract(t0)
-    tminus = universal_tutte_statesum(pg.deleted()) - pi_delete(t0)
-    return PointedPolynomials(tc=tc, tl=tl, t0=t0, tslash=tslash, tminus=tminus)
+    """All five pointed polynomials of a pointed graph, computed once per graph."""
+    if pg._polys is None:
+        u = universal_with_pointed_zero(pg)
+        t0 = pi_0(u)
+        tc = pi_contract(pi_C(u))
+        tl = pi_delete(pi_L(u))
+        tslash = universal_tutte_statesum(pg.contracted()) - pi_contract(t0)
+        tminus = universal_tutte_statesum(pg.deleted()) - pi_delete(t0)
+        pg._polys = PointedPolynomials(tc=tc, tl=tl, t0=t0, tslash=tslash, tminus=tminus)
+    return pg._polys
 
 
 def universal_with_pointed_zero(pg: PointedGraph) -> RelPolynomial:
-    """Universal polynomial with the pointed edge treated as a zero edge."""
-    return universal_tutte_statesum(pg.graph, pointed_as_zero=True)
+    """Universal polynomial with the pointed edge treated as a zero edge, computed once per graph."""
+    if pg._universal is None:
+        pg._universal = universal_tutte_statesum(pg.graph, pointed_as_zero=True)
+    return pg._universal
 
 
 def contracting_sets_by_type(pg: PointedGraph) -> dict[str, list[ContractingSet]]:

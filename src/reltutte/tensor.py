@@ -300,17 +300,29 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
     return RelPolynomial.sum(out)
 
 
-def substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPolynomial:
-    """The substitution pipeline side: sum over demoted subsets of the replaced color."""
+@lru_cache(maxsize=1)
+def _orientation_free_stage(ti: TensorInstance) -> tuple[PointedPolynomials, tuple[RelPolynomial, ...]]:
+    """The patch's pointed polynomials, and ``sigma(beta_lambda(U(g1 with S
+    demoted)))`` for every demoted subset S, in mask order.
+
+    Only beta_zero reads the gluing orientation, so both orientations share
+    this stage. Callers run the two orientations of an instance back to back,
+    so one entry catches every reuse.
+    """
     pp = pointed_polys(ti.g2)
     lam_ids = ti.lambda_edge_ids()
-    parts = []
+    stage = []
     for mask in range(1 << len(lam_ids)):
         s = frozenset(lam_ids[i] for i in range(len(lam_ids)) if mask >> i & 1)
-        g1s = recolor_subset(ti.g1, s, RECOLOR_ZERO)
-        u = universal_tutte_statesum(g1s)
-        parts.append(beta_zero(sigma(beta_lambda(u, ti.lam, pp)), pp.t0, flip=flip))
-    return RelPolynomial.sum(parts)
+        u = universal_tutte_statesum(recolor_subset(ti.g1, s, RECOLOR_ZERO))
+        stage.append(sigma(beta_lambda(u, ti.lam, pp)))
+    return pp, tuple(stage)
+
+
+def substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPolynomial:
+    """The substitution pipeline side: sum over demoted subsets of the replaced color."""
+    pp, stage = _orientation_free_stage(ti)
+    return RelPolynomial.sum(beta_zero(p, pp.t0, flip=flip) for p in stage)
 
 
 @dataclass(frozen=True)

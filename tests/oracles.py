@@ -13,8 +13,9 @@ from typing import Mapping
 
 from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable
 from reltutte.errors import LoopTwoSum
-from reltutte.graph import _glue_along_edge, is_loop
-from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph
+from reltutte.graph import RECOLOR_ZERO, _glue_along_edge, is_loop, recolor_subset
+from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph, pointed_polys
+from reltutte.tensor import TensorInstance, beta_lambda, beta_zero, sigma
 from reltutte.tutte import (
     _WEIGHT_KIND,
     Activity,
@@ -22,6 +23,7 @@ from reltutte.tutte import (
     ProperLabeling,
     canonical_labeling,
     terminal_graph,
+    universal_tutte_statesum,
     validate_contracting_set,
 )
 
@@ -319,6 +321,47 @@ def reference_canonical_code(g: ColoredMultigraph) -> str:
     atoms = sorted(tuple(sorted((pos[u], pos[v]))) + (c,) for u, v, c in sig)
     body = ",".join(f"{i}-{j}:{c}" for i, j, c in atoms)
     return f"g{len(g.vertex_set)}({body})"
+
+
+def reference_maximum_cliques(masks, cand):
+    """Every maximum clique inside the bitmask cand, bounded by the candidate count only."""
+    best, found = 0, []
+    # depth-first, each clique grown in decreasing vertex order so it is met once
+    stack = [((), cand)]
+    while stack:
+        clique, cand = stack[-1]
+        if not cand or len(clique) + cand.bit_count() < best:
+            stack.pop()
+            continue
+        v = cand.bit_length() - 1
+        cand &= ~(1 << v)
+        stack[-1] = (clique, cand)
+        grown, rest = clique + (v,), cand & masks[v]
+        if rest:
+            stack.append((grown, rest))
+        elif len(grown) >= best:
+            if len(grown) > best:
+                best, found = len(grown), []
+            found.append(grown)
+    return found
+
+
+# -- reference substitution pipeline -------------------------------------------------------
+
+
+def reference_substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPolynomial:
+    """The substitution side recomputed from scratch: every stage for every
+    demoted subset, with pointed polynomials of a fresh copy of the patch, so
+    no cached pointed polynomial or orientation-free stage is read."""
+    pp = pointed_polys(PointedGraph(ti.g2.graph))
+    lam_ids = ti.lambda_edge_ids()
+    parts = []
+    for mask in range(1 << len(lam_ids)):
+        s = frozenset(lam_ids[i] for i in range(len(lam_ids)) if mask >> i & 1)
+        g1s = recolor_subset(ti.g1, s, RECOLOR_ZERO)
+        u = universal_tutte_statesum(g1s)
+        parts.append(beta_zero(sigma(beta_lambda(u, ti.lam, pp)), pp.t0, flip=flip))
+    return RelPolynomial.sum(parts)
 
 
 # -- exhaustive families ------------------------------------------------------------------

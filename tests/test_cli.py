@@ -156,6 +156,16 @@ def test_suite_zero_instances_warns(capsys):
     assert "0 instances" in out
 
 
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_suite_negative_instances_rejected(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--instances", value, "--only", "bijection"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 0" in captured.err
+
+
 def test_suite_injected_fault(capsys):
     code = main(
         ["suite", "--instances", "1", "--seed", "3", "--only", "labeling-independence", "--inject-fault"]

@@ -15,6 +15,7 @@ from oracles import (
     reference_components,
     reference_cutpoints,
     reference_is_bridge,
+    reference_maximum_cliques,
     two_sum,
 )
 from reltutte import (
@@ -40,7 +41,7 @@ from reltutte.errors import (
     NotRegular,
     UnknownEdge,
 )
-from reltutte.graph import components, cutpoints, is_connected, single_vertex
+from reltutte.graph import _maximum_cliques, components, cutpoints, is_connected, single_vertex
 from reltutte.randgen import RandomInstanceSpec, derived_seed, random_graph
 
 # random corpora with loops, parallel edges and isolated vertices
@@ -387,12 +388,34 @@ def test_canonical_code_matches_reference_beam_on_symmetric_zero_blocks():
 
 
 def test_pivot_keys_of_large_symmetric_zero_blocks_do_not_hang():
-    # the reference beam needs minutes for C20 and seconds for K9
-    for g in (_zero_cycle(20), _zero_complete(10)):
+    # the reference beam needs minutes for C20 and seconds for K9; C50 took
+    # 35 s while the clique search was bounded by the candidate count alone
+    for g in (_zero_cycle(20), _zero_complete(10), _zero_cycle(50)):
         t0 = time.perf_counter()
         key = pivot_class_key(g)
         assert time.perf_counter() - t0 < 1.0
         assert len(key.codes) == 1
+
+
+def _random_masks(rng):
+    n = rng.randint(1, 14)
+    density = rng.random()
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    cand = sum(1 << v for v in range(n) if rng.random() < 0.9)
+    return masks, cand
+
+
+def test_maximum_cliques_match_unbounded_reference():
+    # the same cliques in the same order: the colouring bound only cuts
+    # branches that cannot reach the best size found so far
+    for i in range(3000):
+        masks, cand = _random_masks(random.Random(derived_seed(61, i)))
+        assert _maximum_cliques(masks, cand) == reference_maximum_cliques(masks, cand), i
 
 
 def _bowtie():

@@ -248,3 +248,25 @@ def test_t0_keys_retain_pointed_edge():
         for key in pointed_polys(pg).t0.zkeys():
             assert key.pointed_edge_count() == 1
             assert key.pointed_status() == "inner"
+
+
+def test_pointed_polys_computed_once_per_graph(monkeypatch):
+    import reltutte.pointed as pointed
+
+    calls = []
+    real = pointed.universal_tutte_statesum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pointed, "universal_tutte_statesum", counting)
+    pg = random_pointed_graph(random.Random(derived_seed(37, 0)), max_regular=3, zero_edges=(1, 2))
+    pp, u = pointed_polys(pg), universal_with_pointed_zero(pg)
+    assert pointed_polys(pg) is pp and universal_with_pointed_zero(pg) is u
+    # U with the pointed edge as zero, then the contraction and the deletion
+    assert len(calls) == 3
+    fresh = PointedGraph(pg.graph)
+    assert pointed_polys(fresh).as_dict() == pp.as_dict()
+    assert len(calls) == 6
+

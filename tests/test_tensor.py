@@ -27,6 +27,7 @@ from reltutte.graph import EMPTY_KEY
 from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, classify_pair, contracting_sets_by_type
 from reltutte.randgen import derived_seed, random_tensor_instance
 from reltutte.tensor import compose_contracting_set, induced_partition, product_labeling
+from reltutte.textio import format_graph
 from reltutte.tutte import ContractingSet, enumerate_contracting_sets
 
 
@@ -350,3 +351,51 @@ def test_product_labeling_is_proper_and_blocked():
     assert base_label % m == 0
     k = sorted(ti.g1.regular_ids()).index("f1") + 1
     assert all((k - 1) * m < v <= k * m for v in copy_labels)
+
+
+def _rhs_instances():
+    # the seeded instances of test_formula_randomized_instances ...
+    out = [
+        random_tensor_instance(random.Random(derived_seed(41, i)), g1_regular=4, g1_lambda=(1, 2), g2_regular=3)
+        for i in range(12)
+    ]
+    # ... and bases with 1-2 replaced edges against patches shared between them
+    from oracles import base_graph_family, connected_multigraph_structures, iso_classes, patch_graph_family
+
+    structures = iso_classes(connected_multigraph_structures(3))
+    bases = base_graph_family(structures, lam_counts=(1, 2), regular_cap=3)
+    patches = patch_graph_family(structures, regular_cap=3)
+    out += [TensorInstance(g1=g1, g2=g2, lam="lam") for g1 in bases[::7] for g2 in patches[:3]]
+    return out
+
+
+def _terms_and_representatives(p):
+    # z-keys compare by codes; the glued representatives show the orientation
+    return [(m, c, [format_graph(k.representative) for k in m[1]]) for m, c in p.terms()]
+
+
+@pytest.mark.parametrize("order", [(False, True), (True, False)], ids=["plain-first", "flip-first"])
+def test_cached_rhs_matches_uncached_reference(order):
+    from oracles import reference_substitution_rhs
+
+    for k, ti in enumerate(_rhs_instances()):
+        for flip in order:
+            got = substitution_rhs(ti, flip=flip)
+            want = reference_substitution_rhs(ti, flip=flip)
+            assert _terms_and_representatives(got) == _terms_and_representatives(want), (k, flip)
+            assert got.render() == want.render(), (k, flip)
+
+
+def test_orientation_free_stage_keeps_one_instance():
+    from reltutte.tensor import _orientation_free_stage
+
+    _orientation_free_stage.cache_clear()
+    for ti in (
+        _instance("edge f1 a b color=lam\nedge m a b color=mu"),
+        _instance("edge f1 a b color=lam\nedge f2 b c color=lam\nedge m c a color=mu"),
+    ):
+        for flip in (False, True):
+            substitution_rhs(ti, flip=flip)
+    info = _orientation_free_stage.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 1)
+
