@@ -66,11 +66,13 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=32)
+def _add_common(p: argparse.ArgumentParser, seeded: bool = False, jobs: bool = False):
+    if seeded:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=_positive_int, default=32)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    if jobs:
+        p.add_argument("--jobs", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g2")
     p.add_argument("--color", required=True)
     p.add_argument("--corrupt-rhs", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.add_argument("--flip-orientation", action="store_true")
 
     p = sub.add_parser("suite", help="run the randomized verification suites")
     p.add_argument("--instances", type=_non_negative_int, default=10)
     p.add_argument("--only", choices=all_suite_names(), action="append")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p)
+    _add_common(p, seeded=True, jobs=True)
 
     return ap
 
@@ -113,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_tutte(args) -> int:
     em = Emitter(args.format)
     g = parse_graph_file(args.graph)
-    em.config(command="tutte", seed=args.seed, trials=args.trials)
+    em.config(command="tutte")
     statesum = universal_tutte_statesum(g)
     recursive = tutte_recursive(g)
     em.poly("statesum", statesum)
@@ -128,7 +130,7 @@ def cmd_pointed(args) -> int:
     em = Emitter(args.format)
     g = parse_graph_file(args.graph)
     pg = PointedGraph(g)
-    em.config(command="pointed", seed=args.seed, trials=args.trials)
+    em.config(command="pointed")
     for name, p in pointed_polys(pg).as_dict().items():
         em.poly(name, p)
     return EXIT_OK
@@ -143,7 +145,7 @@ def _load_instance(args) -> TensorInstance:
 def cmd_tensor(args) -> int:
     em = Emitter(args.format)
     ti = _load_instance(args)
-    em.config(command="tensor", seed=args.seed, trials=args.trials, color=args.color)
+    em.config(command="tensor", color=args.color)
     prod = tensor_product(ti, flip=args.flip_orientation)
     if args.out:
         write_graph_file(prod, args.out, header=f"tensor product of {args.g1} and {args.g2} over {args.color}")

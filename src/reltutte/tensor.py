@@ -72,6 +72,8 @@ class TensorInstance:
             raise InstanceInvalid(f"{lam!r} is a reserved color")
         if lam in g1.zero_colors():
             raise InstanceInvalid(f"{lam!r} colors zero edges of the base graph")
+        if not self.lambda_edge_ids():
+            raise InstanceInvalid(f"{lam!r} colors no regular edge of the base graph")
         g2_colors = set(g2.graph.regular_colors()) | set(g2.graph.zero_colors())
         if lam in g2_colors:
             raise InstanceInvalid(f"{lam!r} must not appear in the patch graph")

@@ -1,12 +1,17 @@
 """The universal relative Tutte polynomial.
 
-The state sum walks the regular edges in decreasing label order, branching
-into contract/delete decisions: contracting a loop and deleting a bridge are
+The walk takes the regular edges in decreasing label order, branching into
+contract/delete decisions: contracting a loop and deleting a bridge are
 forbidden, a forced contraction of a bridge contributes X, a forced deletion
 of a loop contributes Y, and the free branches contribute x (contract) and y
 (delete). The leaves of this walk are exactly the contracting sets, the
 accumulated weights are the activity weights, and the surviving all-zero-edge
 graph is the terminal graph whose pivot class indexes the z-symbol.
+
+The state sum counts these leaves level by level: a node's minor is fixed by
+the vertex partition its contractions induce (``contract`` names a block by
+its least vertex), so equal partitions have equal subtrees and merge. Each
+weight keeps its least branch path, which orders like the walk's leaves.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Iterator, Mapping, Optional
 from .errors import ColorClash, ImproperLabeling, InvalidContractingSet, InvariantBreach
 from .graph import (
     ColoredMultigraph,
+    EdgeRecord,
     contract,
     delete,
     is_bridge,
@@ -184,18 +190,68 @@ def terminal_graph(
     return _replay(g, lab, cs, pointed_as_zero)[1]
 
 
+def _joined(part: tuple, a: int, b: int, ends: list) -> bool:
+    """Whether the edges ``ends`` join the blocks of a and b of the partition."""
+    parent = list(part)  # each vertex already points at its block's root
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for u, v in ends:
+        parent[find(u)] = find(v)
+        if find(a) == find(b):
+            return True
+    return False
+
+
 def universal_tutte_statesum(
     g: ColoredMultigraph,
     lab: Optional[ProperLabeling] = None,
     pointed_as_zero: bool = False,
 ) -> RelPolynomial:
-    """State sum over all contracting sets; linear in the z-symbols."""
+    """State sum over all contracting sets; linear in the z-symbols.
+
+    Maps partitions (each index points at its block's least vertex) to
+    {packed weight: (leaves, least branch path)}, edge by edge."""
     _check_colors(g)
     lab = lab or canonical_labeling(g, pointed_as_zero)
+    order = [g.edge(eid) for eid in _decreasing_order(g, lab, pointed_as_zero)]
+    zero = [g.edge(eid) for eid in g.zero_ids(pointed_as_zero)]
+    names = sorted(g.vertex_set)
+    index = {v: i for i, v in enumerate(names)}
+    ends = [(index[e.u], index[e.v]) for e in order + zero]
+    k = len(order)  # each (kind, color) count is one base-(k + 1) digit of a packed weight
+    unit = {s: (k + 1) ** i for i, s in enumerate(dict.fromkeys((kind, e.color) for e in order for kind in "XxYy"))}
+    states = {tuple(range(len(names))): {0: (1, 0)}}
+    for i, e in enumerate(order):
+        (a, b), delete_bit, nxt = ends[i], 1 << (k - 1 - i), {}
+        for part, weights in states.items():
+            lo, hi = sorted((part[a], part[b]))
+            merged = tuple(lo if r == hi else r for r in part)
+            if lo == hi:
+                moves = ((part, "Y", 0),)
+            elif not _joined(part, a, b, ends[i + 1 :]):
+                moves = ((merged, "X", 0),)
+            else:
+                moves = ((merged, "x", 0), (part, "y", delete_bit))
+            for target, kind, bit in moves:
+                step, out = unit[kind, e.color], nxt.setdefault(target, {})
+                for w, (count, path) in weights.items():
+                    seen = out.get(w + step)
+                    out[w + step] = (count, path | bit) if seen is None else (seen[0] + count, min(seen[1], path | bit))
+        states = nxt
+    leaves = []
+    for part, weights in states.items():
+        moved = [(e, names[part[u]], names[part[v]]) for e, (u, v) in zip(zero, ends[k:])]
+        edges = [e if (u, v) == (e.u, e.v) else EdgeRecord(e.id, u, v, e.color, e.is_zero, e.is_pointed) for e, u, v in moved]
+        key = pivot_class_key(ColoredMultigraph(edges, extra_vertices={names[r] for r in part}))
+        leaves += [(path, w, count, key) for w, (count, path) in weights.items()]
     terms: dict = {}
-    for _, weight, graph in _walk(g, _decreasing_order(g, lab, pointed_as_zero)):
-        m = monomial_key(weight.items(), (pivot_class_key(graph),))
-        terms[m] = terms.get(m, 0) + 1
+    for _, w, count, key in sorted(leaves, key=lambda leaf: leaf[0]):
+        m = monomial_key(((s, w // u % (k + 1)) for s, u in unit.items()), (key,))
+        terms[m] = terms.get(m, 0) + count
     return RelPolynomial(terms)
 
 

@@ -13,14 +13,18 @@ from typing import Mapping
 
 from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable
 from reltutte.errors import LoopTwoSum
-from reltutte.graph import RECOLOR_ZERO, _glue_along_edge, is_loop, recolor_subset
+from reltutte.graph import RECOLOR_ZERO, _glue_along_edge, is_loop, pivot_class_key, recolor_subset
 from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph, pointed_polys
+from reltutte.poly import monomial_key
 from reltutte.tensor import TensorInstance, beta_lambda, beta_zero, sigma
 from reltutte.tutte import (
     _WEIGHT_KIND,
     Activity,
     ContractingSet,
     ProperLabeling,
+    _check_colors,
+    _decreasing_order,
+    _walk,
     canonical_labeling,
     terminal_graph,
     universal_tutte_statesum,
@@ -344,6 +348,24 @@ def reference_maximum_cliques(masks, cand):
                 best, found = len(grown), []
             found.append(grown)
     return found
+
+
+# -- state sum leaf by leaf ----------------------------------------------------------------
+
+
+def reference_statesum(
+    g: ColoredMultigraph,
+    lab: ProperLabeling | None = None,
+    pointed_as_zero: bool = False,
+) -> RelPolynomial:
+    """State sum over all contracting sets; linear in the z-symbols."""
+    _check_colors(g)
+    lab = lab or canonical_labeling(g, pointed_as_zero)
+    terms: dict = {}
+    for _, weight, graph in _walk(g, _decreasing_order(g, lab, pointed_as_zero)):
+        m = monomial_key(weight.items(), (pivot_class_key(graph),))
+        terms[m] = terms.get(m, 0) + 1
+    return RelPolynomial(terms)
 
 
 # -- reference substitution pipeline -------------------------------------------------------

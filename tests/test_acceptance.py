@@ -8,6 +8,8 @@ lines as they complete.
 import random
 import time
 
+import pytest
+
 from conftest import G
 from oracles import (
     base_graph_family,
@@ -142,6 +144,25 @@ def test_criterion_4_classical_tutte_oracle():
         )
         ok = ok and _to_classical(g) == classical_tutte(g)
     _criterion(4, f"classical Tutte specialization ({len(seen)} exhaustive + 200 random)", 120.0, t0, ok)
+
+
+def test_classical_specialization_matches_networkx():
+    # past the exhaustive bounds of criterion 4: 10-16 edges, loops and parallel edges included
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    for i in range(12):
+        rng = random.Random(derived_seed(1011, i))
+        g = random_graph(rng, RandomInstanceSpec(vertices=(4, 8), regular_edges=(10, 16), zero_edges=(0, 0), colors=1))
+        g = ColoredMultigraph(
+            [EdgeRecord(e.id, e.u, e.v, "c", False, False) for e in g.edges],
+            extra_vertices=g.vertex_set,
+        )
+        m = nx.MultiGraph()
+        m.add_nodes_from(g.vertex_set)
+        m.add_edges_from((e.u, e.v) for e in g.edges)
+        want = {exps: int(c) for exps, c in sympy.Poly(nx.tutte_polynomial(m), x, y).as_dict().items()}
+        assert _to_classical(g) == want, i
 
 
 def test_criterion_5_labeling_independence():

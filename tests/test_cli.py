@@ -196,7 +196,10 @@ def test_unreadable_input_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_counts_below_one_rejected(flag, value, base_file, patch_file, capsys):
-    for argv in (["verify", base_file, patch_file, "--color", "lam"], ["suite", "--instances", "1"]):
+    commands = [["suite", "--instances", "1"]]
+    if flag == "--trials":  # only suite reads --jobs
+        commands.append(["verify", base_file, patch_file, "--color", "lam"])
+    for argv in commands:
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, value])
         assert exc.value.code == 2
@@ -212,6 +215,37 @@ def test_flip_orientation_only_where_read(base_file, patch_file, bridge_file, po
         assert "unrecognized arguments: --flip-orientation" in capsys.readouterr().err
     assert main(["verify", base_file, patch_file, "--color", "lam", "--flip-orientation"]) == 0
     assert "flip=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["--seed", "9"], ["--trials", "5"], ["--jobs", "3"]])
+def test_unread_flags_rejected(flag, base_file, patch_file, bridge_file, pointed_file, capsys):
+    # tutte, pointed and tensor draw nothing at random, and only suite runs workers
+    commands = [["tutte", bridge_file], ["pointed", pointed_file], ["tensor", base_file, patch_file, "--color", "lam"]]
+    if flag[0] == "--jobs":
+        commands.append(["verify", base_file, patch_file, "--color", "lam"])
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_config_line_echoes_only_read_flags(bridge_file, pointed_file, base_file, patch_file, capsys):
+    assert main(["tutte", bridge_file]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# command=tutte"
+    assert main(["pointed", pointed_file]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# command=pointed"
+    assert main(["tensor", base_file, patch_file, "--color", "lam"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# command=tensor color=lam"
+
+
+@pytest.mark.parametrize("command", ["verify", "tensor"])
+def test_color_on_no_regular_base_edge_rejected(command, base_file, patch_file, capsys):
+    assert main([command, base_file, patch_file, "--color", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'nope'" in err[0]
 
 
 def test_suite_trials_take_effect(monkeypatch, capsys):

@@ -60,15 +60,12 @@ def test_product_single_loop_is_patch_contracted():
     assert pivot_class_key(prod) == pivot_class_key(ti.g2.contracted())
 
 
-def test_product_without_lambda_edges_is_base():
-    ti = _instance("edge m a b color=mu\nedge h a b color=z0 zero")
-    assert tensor_product(ti) == ti.g1
-    # the induced partition degenerates to the base's own partition
-    for cs in enumerate_contracting_sets(ti.g1):
-        part = induced_partition(ti, cs)
-        assert (part.c1, part.d1) == (cs.contracting, cs.deleting)
-        assert part.h1_hat == frozenset({"h"})
-        assert compose_contracting_set(ti, (part.c1, part.d1, frozenset()), {}) == cs
+def test_instance_without_lambda_edges_rejected():
+    # a replaced color on no regular base edge would make the product the base itself
+    with pytest.raises(InstanceInvalid, match="no regular edge"):
+        _instance("edge m a b color=mu\nedge h a b color=z0 zero")
+    with pytest.raises(InstanceInvalid, match="no regular edge"):
+        _instance("edge f a b color=lam", lam="nope")
 
 
 def test_product_zero_set_is_union():

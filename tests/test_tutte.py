@@ -8,6 +8,7 @@ from oracles import (
     brute_contracting_sets,
     classical_tutte,
     connected_multigraph_structures,
+    reference_statesum,
     spanning_tree_count,
 )
 from reltutte import (
@@ -34,6 +35,7 @@ from reltutte.randgen import (
     derived_seed,
     random_graph,
     random_graph_with_zero_edges,
+    random_pointed_graph,
     random_proper_labeling,
 )
 
@@ -205,6 +207,46 @@ def test_labeling_independence_randomized():
         p1 = universal_tutte_statesum(g, lab1)
         p2 = universal_tutte_statesum(g, lab2)
         assert equal_mod_ideal(p1, p2, trials=32, seed=derived_seed(25, i))
+
+
+def _assert_matches_reference(g, lab=None, pointed_as_zero=False):
+    got = universal_tutte_statesum(g, lab, pointed_as_zero)
+    want = reference_statesum(g, lab, pointed_as_zero)
+    # equal terms, in the same dict order, holding z-keys with equal representatives
+    assert got._terms == want._terms
+    assert list(got._terms) == list(want._terms)
+    for (_, (key,)), (_, (ref,)) in zip(got._terms, want._terms):
+        assert key.representative == ref.representative
+
+
+def test_statesum_matches_walk_reference_randomized():
+    for i in range(1500):
+        rng = random.Random(derived_seed(27, i))
+        g = random_graph_with_zero_edges(rng, max_edges=9)
+        _assert_matches_reference(g)
+        _assert_matches_reference(g, random_proper_labeling(rng, g))
+    for i in range(150):
+        rng = random.Random(derived_seed(28, i))
+        g = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph
+        _assert_matches_reference(g, pointed_as_zero=True)
+        _assert_matches_reference(g, random_proper_labeling(rng, g, pointed_as_zero=True), pointed_as_zero=True)
+
+
+def test_statesum_matches_walk_reference_edge_cases():
+    from reltutte import ColoredMultigraph
+    from reltutte.graph import single_vertex
+
+    cases = [
+        ColoredMultigraph(),
+        single_vertex(),
+        G("edge h1 a b color=z0 zero\nedge h2 b b color=z1 zero"),
+        G("edge l1 a a color=mu\nedge l2 a a color=rho\nedge l3 b b color=mu"),
+        G("edge l1 a a color=mu\nedge h a b color=z0 zero"),
+        ColoredMultigraph(G("edge e1 b c color=mu\nedge h c d color=z0 zero").edges, extra_vertices="adz"),
+        ColoredMultigraph(G("edge e1 c a color=mu\nedge e2 a b color=mu\nedge h c b color=z0 zero").edges, extra_vertices="xy"),
+    ]
+    for g in cases:
+        _assert_matches_reference(g)
 
 
 def test_improper_labeling_rejected(parallel_pair):
