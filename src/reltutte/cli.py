@@ -1,13 +1,15 @@
 """Command line front end.
 
 Commands: tutte, pointed, tensor, verify, suite. Exit codes: 0 ok,
-1 verification failure, 2 input error, 3 internal invariant breach.
+1 verification failure, 2 input error, 3 internal invariant breach,
+141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import EngineError, InvariantBreach
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 class Emitter:
@@ -145,7 +148,7 @@ def _load_instance(args) -> TensorInstance:
 def cmd_tensor(args) -> int:
     em = Emitter(args.format)
     ti = _load_instance(args)
-    em.config(command="tensor", color=args.color)
+    em.config(command="tensor", color=args.color, flip=args.flip_orientation)
     prod = tensor_product(ti, flip=args.flip_orientation)
     if args.out:
         write_graph_file(prod, args.out, header=f"tensor product of {args.g1} and {args.g2} over {args.color}")
@@ -208,7 +211,13 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # not an input error; point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

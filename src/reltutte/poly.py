@@ -11,6 +11,7 @@ vanish identically.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Iterable, Mapping, Union
 
@@ -34,12 +35,17 @@ def _merge_zkeys(keys: Iterable[PivotClassKey]) -> tuple:
     return (EMPTY_KEY,) if ks else ()
 
 
+def _var_rank(item: tuple) -> tuple:
+    (kind, color), _ = item
+    return (color, _KIND_RANK[kind])
+
+
 def monomial_key(vars_: Iterable[tuple], zkeys: Iterable[PivotClassKey]) -> Monomial:
     """Canonical monomial key from raw ((kind, color), exp) items and z keys."""
     acc: dict = {}
     for (kind, color), exp in vars_:
         acc[(kind, color)] = acc.get((kind, color), 0) + exp
-    vt = tuple(sorted(((k, v) for k, v in acc.items() if v), key=lambda it: (it[0][1], _KIND_RANK[it[0][0]])))
+    vt = tuple(sorted(((k, v) for k, v in acc.items() if v), key=_var_rank))
     return (vt, _merge_zkeys(zkeys))
 
 
@@ -48,10 +54,21 @@ def _mul_vars(a: tuple, b: tuple) -> tuple:
         return b
     if not b:
         return a
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:  # insert the single variable into the sorted tuple
+        rank = _var_rank(b[0])
+        for i, ((kind, color), exp) in enumerate(a):
+            r = (color, _KIND_RANK[kind])
+            if r == rank:
+                return a[:i] + (((kind, color), exp + b[0][1]),) + a[i + 1 :]
+            if r > rank:
+                return a[:i] + b + a[i:]
+        return a + b
     acc = dict(a)
     for var, exp in b:
         acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted(acc.items(), key=lambda it: (it[0][1], _KIND_RANK[it[0][0]])))
+    return tuple(sorted(acc.items(), key=_var_rank))
 
 
 def _vars_text(vars_: tuple) -> str:
@@ -84,6 +101,7 @@ class RelPolynomial:
         return RelPolynomial({((), ()): int(c)})
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)  # polynomials are immutable, so one object serves every caller
     def variable(kind: str, color: str, exp: int = 1) -> "RelPolynomial":
         if kind not in VAR_KINDS:
             raise ValueError(f"unknown variable kind {kind!r}")
@@ -173,6 +191,10 @@ class RelPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        one, many = (self, other) if len(self._terms) == 1 else (other, self)
+        if len(one._terms) == 1 and not next(iter(one._terms))[1]:  # z-free: distinct monomials stay distinct
+            ((v1, _), c1), = one._terms.items()
+            return RelPolynomial({(_mul_vars(v1, v2), z2): c1 * c2 for (v2, z2), c2 in many._terms.items()})
         acc: dict = {}
         for (v1, z1), c1 in self._terms.items():
             for (v2, z2), c2 in other._terms.items():

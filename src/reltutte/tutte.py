@@ -190,6 +190,13 @@ def terminal_graph(
     return _replay(g, lab, cs, pointed_as_zero)[1]
 
 
+def _terminal_minor(part, names: list, zero: list, ends: list) -> ColoredMultigraph:
+    """A partition's terminal graph: the zero edges re-pointed to their blocks' least vertices."""
+    moved = [(e, names[part[u]], names[part[v]]) for e, (u, v) in zip(zero, ends)]
+    edges = [e if (u, v) == (e.u, e.v) else EdgeRecord(e.id, u, v, e.color, e.is_zero, e.is_pointed) for e, u, v in moved]
+    return ColoredMultigraph(edges, extra_vertices={names[r] for r in part})
+
+
 def _joined(part: tuple, a: int, b: int, ends: list) -> bool:
     """Whether the edges ``ends`` join the blocks of a and b of the partition."""
     parent = list(part)  # each vertex already points at its block's root
@@ -244,9 +251,7 @@ def universal_tutte_statesum(
         states = nxt
     leaves = []
     for part, weights in states.items():
-        moved = [(e, names[part[u]], names[part[v]]) for e, (u, v) in zip(zero, ends[k:])]
-        edges = [e if (u, v) == (e.u, e.v) else EdgeRecord(e.id, u, v, e.color, e.is_zero, e.is_pointed) for e, u, v in moved]
-        key = pivot_class_key(ColoredMultigraph(edges, extra_vertices={names[r] for r in part}))
+        key = pivot_class_key(_terminal_minor(part, names, zero, ends[k:]))
         leaves += [(path, w, count, key) for w, (count, path) in weights.items()]
     terms: dict = {}
     for _, w, count, key in sorted(leaves, key=lambda leaf: leaf[0]):
@@ -256,21 +261,43 @@ def universal_tutte_statesum(
 
 
 def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelPolynomial:
-    """Deletion-contraction on the regular edge of largest canonical label.
-
-    Matches the state sum under the canonical labeling term by term, not just
-    modulo the ideal.
-    """
+    """Deletion-contraction on the regular edge of largest id: T = x·T(G/e) + y·T(G−e),
+    X·T(G/e) for a bridge, Y·T(G−e) for a loop. A minor is a union-find of the
+    vertices rooted at each block's least one, as ``contract`` names it, so
+    contracting sets one parent, undone on return. Each partition's terminal
+    graph is built once. Matches the state sum under the canonical labeling
+    term by term."""
     _check_colors(g)
-    regular = g.regular_ids(pointed_as_zero)
-    if not regular:
-        return RelPolynomial.z_symbol(pivot_class_key(g))
-    eid = max(regular)
-    e = g.edge(eid)
-    if e.is_loop:
-        return RelPolynomial.variable("Y", e.color) * tutte_recursive(delete(g, eid), pointed_as_zero)
-    if is_bridge(g, eid):
-        return RelPolynomial.variable("X", e.color) * tutte_recursive(contract(g, eid), pointed_as_zero)
-    return RelPolynomial.variable("x", e.color) * tutte_recursive(
-        contract(g, eid), pointed_as_zero
-    ) + RelPolynomial.variable("y", e.color) * tutte_recursive(delete(g, eid), pointed_as_zero)
+    names = sorted(g.vertex_set)
+    index = {v: i for i, v in enumerate(names)}
+    order = [g.edge(eid) for eid in sorted(g.regular_ids(pointed_as_zero), reverse=True)]
+    zero = [g.edge(eid) for eid in g.zero_ids(pointed_as_zero)]
+    ends = [(index[e.u], index[e.v]) for e in order + zero]
+    parent, leaves = list(range(len(names))), {}
+
+    def find(v, up):
+        while up[v] != v:
+            v = up[v]
+        return v
+
+    def visit(i: int) -> RelPolynomial:
+        if i == len(order):
+            part = tuple(find(v, parent) for v in range(len(names)))
+            if part not in leaves:
+                leaves[part] = RelPolynomial.z_symbol(pivot_class_key(_terminal_minor(part, names, zero, ends[i:])))
+            return leaves[part]
+        color = order[i].color
+        a, b = sorted(find(v, parent) for v in ends[i])
+        if a == b:
+            return RelPolynomial.variable("Y", color) * visit(i + 1)
+        rest = parent[:]  # the blocks, joined by the edges after i
+        for u, v in ends[i + 1 :]:
+            rest[find(u, rest)] = find(v, rest)
+        parent[b] = a
+        contracted = visit(i + 1)
+        parent[b] = b
+        if find(a, rest) != find(b, rest):
+            return RelPolynomial.variable("X", color) * contracted
+        return RelPolynomial.variable("x", color) * contracted + RelPolynomial.variable("y", color) * visit(i + 1)
+
+    return visit(0)

@@ -13,7 +13,16 @@ from typing import Mapping
 
 from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable
 from reltutte.errors import LoopTwoSum
-from reltutte.graph import RECOLOR_ZERO, _glue_along_edge, is_loop, pivot_class_key, recolor_subset
+from reltutte.graph import (
+    RECOLOR_ZERO,
+    _glue_along_edge,
+    contract,
+    delete,
+    is_bridge,
+    is_loop,
+    pivot_class_key,
+    recolor_subset,
+)
 from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph, pointed_polys
 from reltutte.poly import monomial_key
 from reltutte.tensor import TensorInstance, beta_lambda, beta_zero, sigma
@@ -366,6 +375,26 @@ def reference_statesum(
         m = monomial_key(weight.items(), (pivot_class_key(graph),))
         terms[m] = terms.get(m, 0) + 1
     return RelPolynomial(terms)
+
+
+# -- deletion-contraction on rebuilt minors ------------------------------------------------
+
+
+def reference_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelPolynomial:
+    """Deletion-contraction on the regular edge of largest id, one rebuilt minor per node."""
+    _check_colors(g)
+    regular = g.regular_ids(pointed_as_zero)
+    if not regular:
+        return RelPolynomial.z_symbol(pivot_class_key(g))
+    eid = max(regular)
+    e = g.edge(eid)
+    if e.is_loop:
+        return RelPolynomial.variable("Y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
+    if is_bridge(g, eid):
+        return RelPolynomial.variable("X", e.color) * reference_recursive(contract(g, eid), pointed_as_zero)
+    return RelPolynomial.variable("x", e.color) * reference_recursive(
+        contract(g, eid), pointed_as_zero
+    ) + RelPolynomial.variable("y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
 
 
 # -- reference substitution pipeline -------------------------------------------------------

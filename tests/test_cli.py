@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import reltutte
 from reltutte.cli import main
 
 
@@ -236,7 +240,23 @@ def test_config_line_echoes_only_read_flags(bridge_file, pointed_file, base_file
     assert main(["pointed", pointed_file]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "# command=pointed"
     assert main(["tensor", base_file, patch_file, "--color", "lam"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "# command=tensor color=lam"
+    assert capsys.readouterr().out.splitlines()[0] == "# command=tensor color=lam flip=False"
+    assert main(["tensor", base_file, patch_file, "--color", "lam", "--flip-orientation"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# command=tensor color=lam flip=True"
+
+
+def test_closed_stdout_exits_141_silently(tmp_path):
+    # K6 with a colour per edge: one term per spanning tree, far more output than a pipe holds
+    k6 = tmp_path / "k6.graph"
+    k6.write_text("".join(f"edge e{u}{v} {u} {v} color=c{u}{v}\n" for u in range(6) for v in range(u + 1, 6)))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(reltutte.__file__))}
+    proc = subprocess.Popen([sys.executable, "-m", "reltutte.cli", "tutte", str(k6)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"# command=tutte\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("command", ["verify", "tensor"])

@@ -366,6 +366,76 @@ def test_canonical_code_matches_reference_beam_on_small_structures():
         assert canonical_code(h) == reference_canonical_code(h)
 
 
+def _networkx_isomorphic(g, h):
+    """Colored multigraph isomorphism by networkx: parallel edges and loops match as colour multisets."""
+    nx = pytest.importorskip("networkx")
+
+    def simple(g):
+        out = nx.Graph()
+        out.add_nodes_from(g.vertex_set, loops=())
+        for e in g.edges:
+            if e.is_loop:
+                out.nodes[e.u]["loops"] = tuple(sorted(out.nodes[e.u]["loops"] + (e.color,)))
+            else:
+                old = out.get_edge_data(e.u, e.v, {"colors": ()})["colors"]
+                out.add_edge(e.u, e.v, colors=tuple(sorted(old + (e.color,))))
+        return out
+
+    return nx.is_isomorphic(simple(g), simple(h), node_match=lambda a, b: a["loops"] == b["loops"],
+                            edge_match=lambda a, b: a["colors"] == b["colors"])
+
+
+def _colour_profile(g):
+    """An isomorphism invariant: per vertex, its loop colours and its other incident colours."""
+    per = {v: ([], []) for v in g.vertex_set}
+    for e in g.edges:
+        if e.is_loop:
+            per[e.u][0].append(e.color)
+        else:
+            per[e.u][1].append(e.color)
+            per[e.v][1].append(e.color)
+    return sorted((sorted(a), sorted(b)) for a, b in per.values())
+
+
+def test_canonical_code_agrees_with_networkx_isomorphism():
+    # every colouring of the classes of up to 4 edges, and one seeded colouring of every labeling
+    structures = list(connected_multigraph_structures(5))
+    graphs = [_recolored(g, colors) for g in iso_classes(structures) if len(g.edges) <= 4
+              for colors in itertools.product(_REFERENCE_COLORS, repeat=len(g.edges))]
+    rng = random.Random(2014)
+    graphs += [_recolored(g, [rng.choice(sorted(_REFERENCE_COLORS)) for _ in g.edges]) for g in structures]
+    classes: dict = {}
+    for g in graphs:
+        classes.setdefault(canonical_code(g), []).append(g)
+    for head, *rest in classes.values():
+        assert all(_networkx_isomorphic(head, g) for g in rest)
+    # distinct codes: heads that no coarser invariant tells apart must be non-isomorphic
+    by_profile: dict = {}
+    for head, *_ in classes.values():
+        by_profile.setdefault(repr(_colour_profile(head)), []).append(head)
+    for heads in by_profile.values():
+        assert not any(_networkx_isomorphic(a, b) for a, b in itertools.combinations(heads, 2))
+    # seeded random graphs against a relabelled copy, a copy with one edge end moved, and one more vertex
+    for i in range(300):
+        rng = random.Random(derived_seed(41, i))
+        g = random_graph(rng, _SPEC_UP_TO_7)
+        names = dict(zip(sorted(g.vertex_set), rng.sample([f"w{k}" for k in range(len(g.vertex_set))], len(g.vertex_set))))
+        ids = rng.sample([f"f{k}" for k in range(len(g.edges))], len(g.edges))
+        relabelled = ColoredMultigraph(
+            [EdgeRecord(f, *rng.sample([names[e.u], names[e.v]], 2), e.color, e.is_zero) for f, e in zip(ids, g.edges)],
+            extra_vertices=names.values(),
+        )
+        moved = rng.randrange(len(g.edges))
+        target = rng.choice(sorted(g.vertex_set))
+        shifted = ColoredMultigraph(
+            [EdgeRecord(e.id, e.u, target if k == moved else e.v, e.color, e.is_zero) for k, e in enumerate(g.edges)],
+            extra_vertices=g.vertex_set,
+        )
+        padded = ColoredMultigraph(g.edges, extra_vertices=g.vertex_set | {"pad"})
+        for h in (relabelled, shifted, padded):
+            assert (canonical_code(g) == canonical_code(h)) == _networkx_isomorphic(g, h), i
+
+
 def test_canonical_code_matches_reference_beam_on_random_graphs():
     for i in range(1500):
         g = random_graph(random.Random(derived_seed(23, i)), _SPEC_UP_TO_7)

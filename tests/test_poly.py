@@ -18,6 +18,7 @@ from reltutte import (
     z_symbol,
 )
 from reltutte.errors import MissingKey, NotLinearInZ
+from reltutte.poly import monomial_key
 
 BRIDGE_KEY = pivot_class_key(G("edge h 1 2 color=z0 zero"))
 LOOP_KEY = pivot_class_key(G("edge h 1 1 color=z0 zero"))
@@ -63,6 +64,36 @@ def test_empty_key_absorbed_in_products():
     # but the empty key itself is a genuine symbol, not the scalar 1
     assert z_symbol(EMPTY_KEY) != RelPolynomial.const(1)
     assert z_symbol(EMPTY_KEY) * z_symbol(EMPTY_KEY) == z_symbol(EMPTY_KEY)
+
+
+def _double_loop_product(p, q):
+    acc: dict = {}
+    for (v1, z1), c1 in p._terms.items():
+        for (v2, z2), c2 in q._terms.items():
+            m = monomial_key(v1 + v2, z1 + z2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return RelPolynomial(acc)
+
+
+def test_one_term_product_matches_double_loop():
+    rng = random.Random(37)
+    for _ in range(300):
+        one = RelPolynomial.zero()
+        while len(one) != 1:
+            one = _random_poly(rng, n_terms=1, colors=("a", "b", "c"))
+        p = _random_poly(rng, n_terms=6, colors=("a", "b", "c"))
+        for got, want in ((one * p, _double_loop_product(one, p)), (p * one, _double_loop_product(p, one))):
+            assert got._terms == want._terms
+            assert list(got._terms) == list(want._terms)
+
+
+def test_one_term_product_collects_absorbed_empty_key():
+    # the factor's key absorbs EMPTY_KEY, so y and y·z{EMPTY} land on one monomial
+    p = 3 * variable("y", "b") + 5 * variable("y", "b") * z_symbol(EMPTY_KEY)
+    for key in (BRIDGE_KEY, EMPTY_KEY):
+        one = 2 * variable("x", "a") * z_symbol(key)
+        want = 16 * variable("x", "a") * variable("y", "b") * z_symbol(key)
+        assert one * p == want and p * one == want
 
 
 @settings(max_examples=60, deadline=None)

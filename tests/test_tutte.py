@@ -8,6 +8,7 @@ from oracles import (
     brute_contracting_sets,
     classical_tutte,
     connected_multigraph_structures,
+    reference_recursive,
     reference_statesum,
     spanning_tree_count,
 )
@@ -209,14 +210,16 @@ def test_labeling_independence_randomized():
         assert equal_mod_ideal(p1, p2, trials=32, seed=derived_seed(25, i))
 
 
-def _assert_matches_reference(g, lab=None, pointed_as_zero=False):
-    got = universal_tutte_statesum(g, lab, pointed_as_zero)
-    want = reference_statesum(g, lab, pointed_as_zero)
+def _assert_same_terms(got, want):
     # equal terms, in the same dict order, holding z-keys with equal representatives
     assert got._terms == want._terms
     assert list(got._terms) == list(want._terms)
-    for (_, (key,)), (_, (ref,)) in zip(got._terms, want._terms):
-        assert key.representative == ref.representative
+    for (_, keys), (_, refs) in zip(got._terms, want._terms):
+        assert [k.representative for k in keys] == [r.representative for r in refs]
+
+
+def _assert_matches_reference(g, lab=None, pointed_as_zero=False):
+    _assert_same_terms(universal_tutte_statesum(g, lab, pointed_as_zero), reference_statesum(g, lab, pointed_as_zero))
 
 
 def test_statesum_matches_walk_reference_randomized():
@@ -232,11 +235,11 @@ def test_statesum_matches_walk_reference_randomized():
         _assert_matches_reference(g, random_proper_labeling(rng, g, pointed_as_zero=True), pointed_as_zero=True)
 
 
-def test_statesum_matches_walk_reference_edge_cases():
+def _edge_cases():
     from reltutte import ColoredMultigraph
     from reltutte.graph import single_vertex
 
-    cases = [
+    return [
         ColoredMultigraph(),
         single_vertex(),
         G("edge h1 a b color=z0 zero\nedge h2 b b color=z1 zero"),
@@ -245,8 +248,27 @@ def test_statesum_matches_walk_reference_edge_cases():
         ColoredMultigraph(G("edge e1 b c color=mu\nedge h c d color=z0 zero").edges, extra_vertices="adz"),
         ColoredMultigraph(G("edge e1 c a color=mu\nedge e2 a b color=mu\nedge h c b color=z0 zero").edges, extra_vertices="xy"),
     ]
-    for g in cases:
+
+
+def test_statesum_matches_walk_reference_edge_cases():
+    for g in _edge_cases():
         _assert_matches_reference(g)
+
+
+def test_recursion_matches_rebuilt_minor_reference_randomized():
+    for i in range(1500):
+        rng = random.Random(derived_seed(29, i))
+        g = random_graph_with_zero_edges(rng, max_edges=9)
+        _assert_same_terms(tutte_recursive(g), reference_recursive(g))
+    for i in range(200):
+        rng = random.Random(derived_seed(30, i))
+        g = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph
+        _assert_same_terms(tutte_recursive(g, pointed_as_zero=True), reference_recursive(g, pointed_as_zero=True))
+
+
+def test_recursion_matches_rebuilt_minor_reference_edge_cases():
+    for g in _edge_cases():
+        _assert_same_terms(tutte_recursive(g), reference_recursive(g))
 
 
 def test_improper_labeling_rejected(parallel_pair):
