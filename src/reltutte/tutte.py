@@ -300,4 +300,6 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
             return RelPolynomial.variable("X", color) * contracted
         return RelPolynomial.variable("x", color) * contracted + RelPolynomial.variable("y", color) * visit(i + 1)
 
-    return visit(0)
+    out = visit(0)
+    del visit  # it refers to itself through its closure: break the cycle so the leaves free now
+    return out

@@ -394,7 +394,7 @@ def _colour_profile(g):
         else:
             per[e.u][1].append(e.color)
             per[e.v][1].append(e.color)
-    return sorted((sorted(a), sorted(b)) for a, b in per.values())
+    return tuple(sorted((tuple(sorted(a)), tuple(sorted(b))) for a, b in per.values()))
 
 
 def test_canonical_code_agrees_with_networkx_isomorphism():
@@ -412,7 +412,7 @@ def test_canonical_code_agrees_with_networkx_isomorphism():
     # distinct codes: heads that no coarser invariant tells apart must be non-isomorphic
     by_profile: dict = {}
     for head, *_ in classes.values():
-        by_profile.setdefault(repr(_colour_profile(head)), []).append(head)
+        by_profile.setdefault(_colour_profile(head), []).append(head)
     for heads in by_profile.values():
         assert not any(_networkx_isomorphic(a, b) for a, b in itertools.combinations(heads, 2))
     # seeded random graphs against a relabelled copy, a copy with one edge end moved, and one more vertex
