@@ -72,8 +72,13 @@ def classify_pair(pg: PointedGraph, cs: ContractingSet) -> str:
     Type D: the deleting side plus the pointed edge contains a cocycle.
     Type zero: neither.
     """
+    validate_contracting_set(pg.graph, cs, pointed_as_zero=True)
+    return _classify(pg, cs)
+
+
+def _classify(pg: PointedGraph, cs: ContractingSet) -> str:
+    """``classify_pair`` for a set known to be a contracting set."""
     g = pg.graph
-    validate_contracting_set(g, cs, pointed_as_zero=True)
     e = g.edge(pg.pointed_id)
     find, _ = union_find(g, cs.contracting)
     if find(e.u) == find(e.v):
@@ -176,5 +181,5 @@ def contracting_sets_by_type(pg: PointedGraph) -> dict[str, list[ContractingSet]
     """All contracting sets with the pointed edge as zero, bucketed by type."""
     buckets: dict[str, list[ContractingSet]] = {TYPE_C: [], TYPE_D: [], TYPE_ZERO: []}
     for cs in enumerate_contracting_sets(pg.graph, pointed_as_zero=True):
-        buckets[classify_pair(pg, cs)].append(cs)
+        buckets[_classify(pg, cs)].append(cs)
     return buckets

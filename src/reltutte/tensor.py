@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from typing import Mapping
 
-from .errors import InstanceInvalid, InvalidPartition, NotLinearInZ, TypeMismatch
+from .errors import InstanceInvalid, InvalidContractingSet, InvalidPartition, InvariantBreach, NotLinearInZ, TypeMismatch
 from .graph import (
     POINTED_COLOR,
     RECOLOR_ZERO,
@@ -45,6 +45,7 @@ from .pointed import (
     TYPE_ZERO,
     PointedGraph,
     PointedPolynomials,
+    _classify,
     classify_pair,
     pointed_polys,
 )
@@ -161,16 +162,15 @@ class InducedPartition:
 
 def induced_partition(ti: TensorInstance, cs: ContractingSet, flip: bool = False) -> InducedPartition:
     """Classify each copy's restriction and pull the contracting set back to the base."""
-    prod = tensor_product(ti, flip=flip)
-    validate_contracting_set(prod, cs)
+    validate_contracting_set(tensor_product(ti, flip=flip), cs)
     lam_ids = ti.lambda_edge_ids()
     c1, d1, h1 = set(), set(), set(e.id for e in ti.g1.edges if e.is_zero)
     copy_types = {}
     for f in lam_ids:
-        copy = ti.copy_graph(f)
         ids = ti.copy_edge_ids(f)
-        cs_f = ContractingSet(cs.contracting & ids, cs.deleting & ids)
-        t = classify_pair(copy, cs_f)
+        # a cut inside a copy that keeps the pointed edge's ends together cuts
+        # the product too, so a product set restricts to a contracting set
+        t = _classify(ti.copy_graph(f), ContractingSet(cs.contracting & ids, cs.deleting & ids))
         copy_types[f] = t
         if t == TYPE_C:
             c1.add(f)
@@ -184,9 +184,11 @@ def induced_partition(ti: TensorInstance, cs: ContractingSet, flip: bool = False
             continue
         (c1 if e.id in cs.contracting else d1).add(e.id)
     part = InducedPartition(frozenset(c1), frozenset(d1), frozenset(h1), copy_types)
-    # the pulled-back pair must itself be a contracting set of the demoted base
     base = recolor_subset(ti.g1, part.demoted, RECOLOR_ZERO)
-    validate_contracting_set(base, ContractingSet(part.c1, part.d1))
+    try:  # the bijection's claim: the pulled-back pair is a contracting set of the demoted base
+        validate_contracting_set(base, ContractingSet(part.c1, part.d1))
+    except InvalidContractingSet as exc:
+        raise InvariantBreach(f"the pulled-back base pair is not a contracting set: {exc}") from None
     return part
 
 

@@ -8,29 +8,24 @@ of a loop contributes Y, and the free branches contribute x (contract) and y
 accumulated weights are the activity weights, and the surviving all-zero-edge
 graph is the terminal graph whose pivot class indexes the z-symbol.
 
-The state sum counts these leaves level by level: a node's minor is fixed by
-the vertex partition its contractions induce (``contract`` names a block by
-its least vertex), so equal partitions have equal subtrees and merge. Each
-weight keeps its least branch path, which orders like the walk's leaves.
+A node's minor is the vertex partition its contractions induce, each block
+named by its least vertex as ``contract`` names it; ``_moves`` reads a node's
+branches off it. Enumeration, activities and terminal graphs follow the walk
+node by node (``_walk``) and build a terminal graph only for a leaf that asks
+for one. The state sum counts the leaves level by level: equal partitions
+have equal subtrees and merge. Each weight keeps its least branch path, which
+orders like the walk's leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional
+from functools import partial
+from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ColorClash, ImproperLabeling, InvalidContractingSet, InvariantBreach
-from .graph import (
-    ColoredMultigraph,
-    EdgeRecord,
-    contract,
-    delete,
-    is_bridge,
-    pivot_class_key,
-    rank,
-    union_find,
-)
+from .graph import ColoredMultigraph, EdgeRecord, pivot_class_key, rank, union_find
 from .poly import RelPolynomial, monomial_key
 
 
@@ -91,43 +86,52 @@ def _check_colors(g: ColoredMultigraph) -> None:
         raise ColorClash(f"colors used on both sides: {sorted(clash)}")
 
 
-def _walk(g: ColoredMultigraph, order: list[str], cs: Optional[ContractingSet] = None):
-    """The deletion-contraction walk over the regular edges in ``order``.
+def _frame(g: ColoredMultigraph, lab: ProperLabeling, pointed_as_zero: bool) -> tuple[list, list, list, list]:
+    """The integer frame of a walk: the regular edges in decreasing label
+    order, the vertex names sorted (a vertex is its index), the zero edges,
+    and the index ends of the regular edges followed by the zero edges."""
+    order = [g.edge(eid) for eid in _decreasing_order(g, lab, pointed_as_zero)]
+    zero = [g.edge(eid) for eid in g.zero_ids(pointed_as_zero)]
+    names = sorted(g.vertex_set)
+    index = {v: i for i, v in enumerate(names)}
+    return order, names, zero, [(index[e.u], index[e.v]) for e in order + zero]
 
-    A loop is deleted (EA), a bridge is contracted (IA), and any other edge is
-    contracted (II) and then deleted (EI). Yields one (steps, weight, terminal
-    graph) triple per leaf: steps are the (edge id, activity) pairs taken and
-    weight counts them by (kind, color). Both are live and change after the
-    next leaf. With ``cs``, only the branch that contracts exactly
-    cs.contracting is followed.
-    """
+
+def _moves(part: tuple, i: int, ends: list) -> tuple:
+    """The walk's branches at edge i of a partition's minor, as (next
+    partition, activity) pairs: a loop is deleted (EA), a bridge contracted
+    (IA), and any other edge contracted (II), then deleted (EI)."""
+    a, b = ends[i]
+    lo, hi = sorted((part[a], part[b]))
+    if lo == hi:
+        return ((part, Activity.EA),)
+    merged = tuple(lo if r == hi else r for r in part)
+    if not _joined(part, a, b, ends[i + 1 :]):
+        return ((merged, Activity.IA),)
+    return ((merged, Activity.II), (part, Activity.EI))
+
+
+def _walk(order: list[EdgeRecord], ends: list, n: int, contracting: Optional[frozenset] = None):
+    """The deletion-contraction walk over the regular edges ``order``, on
+    partitions of the n vertex indices. Yields one (steps, partition) pair per
+    leaf: steps are the (edge id, activity) pairs taken, live, so they change
+    after the next leaf. With ``contracting``, only the branch that contracts
+    exactly those edges is followed."""
     steps: list[tuple[str, Activity]] = []
-    weight: dict[tuple[str, str], int] = {}
 
-    def visit(graph: ColoredMultigraph, i: int):
+    def visit(part: tuple, i: int):
         if i == len(order):
-            yield steps, weight, graph
+            yield steps, part
             return
-        eid = order[i]
-        e = graph.edge(eid)
-        if e.is_loop:
-            branches = (Activity.EA,)
-        elif is_bridge(graph, eid):
-            branches = (Activity.IA,)
-        else:
-            branches = (Activity.II, Activity.EI)
-        for act in branches:
-            contracted = act in _CONTRACTED
-            if cs is not None and contracted != (eid in cs.contracting):
+        eid = order[i].id
+        for target, act in _moves(part, i, ends):
+            if contracting is not None and (act in _CONTRACTED) != (eid in contracting):
                 continue
-            key = (_WEIGHT_KIND[act], e.color)
             steps.append((eid, act))
-            weight[key] = weight.get(key, 0) + 1
-            yield from visit(contract(graph, eid) if contracted else delete(graph, eid), i + 1)
-            weight[key] -= 1
+            yield from visit(target, i + 1)
             steps.pop()
 
-    return visit(g, 0)
+    return visit(tuple(range(n)), 0)
 
 
 def enumerate_contracting_sets(
@@ -136,8 +140,8 @@ def enumerate_contracting_sets(
     pointed_as_zero: bool = False,
 ) -> Iterator[ContractingSet]:
     """All contracting sets, each exactly once, in contract-first branch order."""
-    lab = lab or canonical_labeling(g, pointed_as_zero)
-    for steps, _, _ in _walk(g, _decreasing_order(g, lab, pointed_as_zero)):
+    order, names, _, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
+    for steps, _ in _walk(order, ends, len(names)):
         c = frozenset(eid for eid, act in steps if act in _CONTRACTED)
         yield ContractingSet(c, frozenset(eid for eid, _ in steps) - c)
 
@@ -163,10 +167,12 @@ def _replay(
     lab: ProperLabeling,
     cs: ContractingSet,
     pointed_as_zero: bool,
-) -> tuple[dict[str, Activity], ColoredMultigraph]:
+) -> tuple[dict[str, Activity], Callable[[], ColoredMultigraph]]:
+    """The activities of the leaf that contracts exactly cs.contracting, and its terminal graph's builder."""
     validate_contracting_set(g, cs, pointed_as_zero)
-    for steps, _, graph in _walk(g, _decreasing_order(g, lab, pointed_as_zero), cs):
-        return dict(steps), graph
+    order, names, zero, ends = _frame(g, lab, pointed_as_zero)
+    for steps, part in _walk(order, ends, len(names), cs.contracting):
+        return dict(steps), partial(_terminal_minor, part, names, zero, ends[len(order) :])
     raise InvariantBreach("a valid contracting set has no leaf in the deletion-contraction walk")
 
 
@@ -187,7 +193,7 @@ def terminal_graph(
     pointed_as_zero: bool = False,
 ) -> ColoredMultigraph:
     """The all-zero-edge graph left after processing in decreasing label order."""
-    return _replay(g, lab, cs, pointed_as_zero)[1]
+    return _replay(g, lab, cs, pointed_as_zero)[1]()
 
 
 def _terminal_minor(part, names: list, zero: list, ends: list) -> ColoredMultigraph:
@@ -223,28 +229,16 @@ def universal_tutte_statesum(
     Maps partitions (each index points at its block's least vertex) to
     {packed weight: (leaves, least branch path)}, edge by edge."""
     _check_colors(g)
-    lab = lab or canonical_labeling(g, pointed_as_zero)
-    order = [g.edge(eid) for eid in _decreasing_order(g, lab, pointed_as_zero)]
-    zero = [g.edge(eid) for eid in g.zero_ids(pointed_as_zero)]
-    names = sorted(g.vertex_set)
-    index = {v: i for i, v in enumerate(names)}
-    ends = [(index[e.u], index[e.v]) for e in order + zero]
+    order, names, zero, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
     k = len(order)  # each (kind, color) count is one base-(k + 1) digit of a packed weight
     unit = {s: (k + 1) ** i for i, s in enumerate(dict.fromkeys((kind, e.color) for e in order for kind in "XxYy"))}
     states = {tuple(range(len(names))): {0: (1, 0)}}
     for i, e in enumerate(order):
-        (a, b), delete_bit, nxt = ends[i], 1 << (k - 1 - i), {}
+        delete_bit, nxt = 1 << (k - 1 - i), {}
         for part, weights in states.items():
-            lo, hi = sorted((part[a], part[b]))
-            merged = tuple(lo if r == hi else r for r in part)
-            if lo == hi:
-                moves = ((part, "Y", 0),)
-            elif not _joined(part, a, b, ends[i + 1 :]):
-                moves = ((merged, "X", 0),)
-            else:
-                moves = ((merged, "x", 0), (part, "y", delete_bit))
-            for target, kind, bit in moves:
-                step, out = unit[kind, e.color], nxt.setdefault(target, {})
+            for target, act in _moves(part, i, ends):
+                step, out = unit[_WEIGHT_KIND[act], e.color], nxt.setdefault(target, {})
+                bit = delete_bit if act is Activity.EI else 0
                 for w, (count, path) in weights.items():
                     seen = out.get(w + step)
                     out[w + step] = (count, path | bit) if seen is None else (seen[0] + count, min(seen[1], path | bit))
@@ -268,11 +262,7 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
     graph is built once. Matches the state sum under the canonical labeling
     term by term."""
     _check_colors(g)
-    names = sorted(g.vertex_set)
-    index = {v: i for i, v in enumerate(names)}
-    order = [g.edge(eid) for eid in sorted(g.regular_ids(pointed_as_zero), reverse=True)]
-    zero = [g.edge(eid) for eid in g.zero_ids(pointed_as_zero)]
-    ends = [(index[e.u], index[e.v]) for e in order + zero]
+    order, names, zero, ends = _frame(g, canonical_labeling(g, pointed_as_zero), pointed_as_zero)
     parent, leaves = list(range(len(names))), {}
 
     def find(v, up):

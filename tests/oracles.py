@@ -27,15 +27,14 @@ from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph, pointed_po
 from reltutte.poly import monomial_key
 from reltutte.tensor import TensorInstance, beta_lambda, beta_zero, sigma
 from reltutte.tutte import (
+    _CONTRACTED,
     _WEIGHT_KIND,
     Activity,
     ContractingSet,
     ProperLabeling,
     _check_colors,
     _decreasing_order,
-    _walk,
     canonical_labeling,
-    terminal_graph,
     universal_tutte_statesum,
     validate_contracting_set,
 )
@@ -359,6 +358,49 @@ def reference_maximum_cliques(masks, cand):
     return found
 
 
+# -- the deletion-contraction walk on rebuilt minors --------------------------------------
+
+
+def reference_walk(g: ColoredMultigraph, order: list[str], cs: ContractingSet | None = None):
+    """The deletion-contraction walk over the regular edges in ``order``, one
+    rebuilt minor per node.
+
+    A loop is deleted (EA), a bridge is contracted (IA), and any other edge is
+    contracted (II) and then deleted (EI). Yields one (steps, weight, terminal
+    graph) triple per leaf: steps are the (edge id, activity) pairs taken and
+    weight counts them by (kind, color). Both are live and change after the
+    next leaf. With ``cs``, only the branch that contracts exactly
+    cs.contracting is followed.
+    """
+    steps: list[tuple[str, Activity]] = []
+    weight: dict[tuple[str, str], int] = {}
+
+    def visit(graph: ColoredMultigraph, i: int):
+        if i == len(order):
+            yield steps, weight, graph
+            return
+        eid = order[i]
+        e = graph.edge(eid)
+        if e.is_loop:
+            branches = (Activity.EA,)
+        elif is_bridge(graph, eid):
+            branches = (Activity.IA,)
+        else:
+            branches = (Activity.II, Activity.EI)
+        for act in branches:
+            contracted = act in _CONTRACTED
+            if cs is not None and contracted != (eid in cs.contracting):
+                continue
+            key = (_WEIGHT_KIND[act], e.color)
+            steps.append((eid, act))
+            weight[key] = weight.get(key, 0) + 1
+            yield from visit(contract(graph, eid) if contracted else delete(graph, eid), i + 1)
+            weight[key] -= 1
+            steps.pop()
+
+    return visit(g, 0)
+
+
 # -- state sum leaf by leaf ----------------------------------------------------------------
 
 
@@ -371,7 +413,7 @@ def reference_statesum(
     _check_colors(g)
     lab = lab or canonical_labeling(g, pointed_as_zero)
     terms: dict = {}
-    for _, weight, graph in _walk(g, _decreasing_order(g, lab, pointed_as_zero)):
+    for _, weight, graph in reference_walk(g, _decreasing_order(g, lab, pointed_as_zero)):
         m = monomial_key(weight.items(), (pivot_class_key(graph),))
         terms[m] = terms.get(m, 0) + 1
     return RelPolynomial(terms)
@@ -611,7 +653,7 @@ def weight_polynomial(acts: Mapping[str, Activity], g: ColoredMultigraph) -> Rel
 def _classify_by_terminal_status(pg: PointedGraph, cs: ContractingSet) -> str:
     """Cross-check: contract C and delete D, then look at the pointed edge."""
     lab = canonical_labeling(pg.graph, pointed_as_zero=True)
-    t = terminal_graph(pg.graph, lab, cs, pointed_as_zero=True)
+    ((_, _, t),) = reference_walk(pg.graph, _decreasing_order(pg.graph, lab, True), cs)
     if is_loop(t, pg.pointed_id):
         return TYPE_C
     if reference_is_bridge(t, pg.pointed_id):

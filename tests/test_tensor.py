@@ -22,7 +22,7 @@ from reltutte import (
     verify_tensor_formula,
     z_symbol,
 )
-from reltutte.errors import InstanceInvalid, TypeMismatch
+from reltutte.errors import InstanceInvalid, InvalidContractingSet, InvalidPartition, TypeMismatch
 from reltutte.graph import EMPTY_KEY
 from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, classify_pair, contracting_sets_by_type
 from reltutte.randgen import derived_seed, random_tensor_instance
@@ -151,6 +151,35 @@ def test_compose_type_mismatch_rejected():
     # the partition demands a type-D copy for f1 but the choice has type zero
     with pytest.raises(TypeMismatch):
         compose_contracting_set(ti, (frozenset({"m"}), frozenset({"f1"}), frozenset()), {"f1": wrong})
+
+
+def _cs(c=(), d=()):
+    return ContractingSet(frozenset(c), frozenset(d))
+
+
+def test_induced_partition_rejects_invalid_product_set():
+    ti = _instance("edge f1 a b color=lam\nedge m a b color=mu")
+    # m and the copy's r1 are parallel in the product: contracting both closes a cycle
+    with pytest.raises(InvalidContractingSet):
+        induced_partition(ti, _cs(c={"m", "f1/r1"}))
+
+
+def test_compose_rejects_invalid_inputs():
+    ti = _instance("edge f1 a b color=lam\nedge m a b color=mu")
+    good_copy = {"f1": _cs(c={"f1/r1"})}
+    assert compose_contracting_set(ti, ({"f1"}, {"m"}, ()), good_copy) == _cs(c={"f1/r1"}, d={"m"})
+    # the base pair contracts two parallel edges
+    with pytest.raises(InvalidContractingSet):
+        compose_contracting_set(ti, ({"m", "f1"}, (), ()), good_copy)
+    # the copy's set leaves its regular edge out
+    with pytest.raises(InvalidContractingSet):
+        compose_contracting_set(ti, ({"f1"}, {"m"}, ()), {"f1": _cs()})
+    # the copy's set names an edge of the base
+    with pytest.raises(InvalidContractingSet):
+        compose_contracting_set(ti, ({"f1"}, {"m"}, ()), {"f1": _cs(c={"f1/r1"}, d={"m"})})
+    # m is not a lambda-edge, so it cannot be demoted
+    with pytest.raises(InvalidPartition):
+        compose_contracting_set(ti, ((), {"f1"}, {"m"}), good_copy)
 
 
 def test_beta_lambda_substitutions():
@@ -396,3 +425,17 @@ def test_orientation_free_stage_keeps_one_instance():
     info = _orientation_free_stage.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 1)
 
+
+
+def test_pulled_back_base_breach_is_internal(monkeypatch, capsys):
+    import reltutte.tensor as tensor
+    from reltutte.cli import main
+    from reltutte.errors import InvariantBreach
+
+    # every copy misread as type D: with m deleted as well, the base pair cuts a from b
+    monkeypatch.setattr(tensor, "_classify", lambda pg, cs: TYPE_D)
+    ti = _instance("edge f1 a b color=lam\nedge m a b color=mu")
+    with pytest.raises(InvariantBreach):
+        induced_partition(ti, _cs(c={"f1/r1"}, d={"m"}))
+    assert main(["suite", "--only", "bijection", "--instances", "1", "--seed", "0"]) == 3
+    assert "pulled-back base pair" in capsys.readouterr().err

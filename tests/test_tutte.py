@@ -10,6 +10,7 @@ from oracles import (
     connected_multigraph_structures,
     reference_recursive,
     reference_statesum,
+    reference_walk,
     spanning_tree_count,
 )
 from reltutte import (
@@ -39,6 +40,7 @@ from reltutte.randgen import (
     random_pointed_graph,
     random_proper_labeling,
 )
+from reltutte.tutte import _decreasing_order, _frame, _terminal_minor, _walk
 
 
 def _cs(c=(), d=()):
@@ -253,6 +255,35 @@ def _edge_cases():
 def test_statesum_matches_walk_reference_edge_cases():
     for g in _edge_cases():
         _assert_matches_reference(g)
+
+
+def _walk_instance(i):
+    """Graph, labeling and pointed flag for the walk comparison: loops, parallel
+    and zero edges, isolated vertices, disconnected and pointed graphs."""
+    rng = random.Random(derived_seed(33, i))
+    if i % 5 == 4:
+        g, pointed = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph, True
+    else:
+        spec = RandomInstanceSpec(vertices=(1, 5), regular_edges=(0, 7), zero_edges=(0, 2), connected=i % 2 == 0)
+        g, pointed = random_graph(rng, spec), False
+    return g, random_proper_labeling(rng, g, pointed) if i % 3 else canonical_labeling(g, pointed), pointed
+
+
+def test_integer_walk_matches_rebuilt_minor_walk():
+    leaves = 0
+    for i in range(1500):
+        g, lab, pointed = _walk_instance(i)
+        order, names, zero, ends = _frame(g, lab, pointed)
+        got = [(list(s), _terminal_minor(part, names, zero, ends[len(order) :])) for s, part in _walk(order, ends, len(names))]
+        want = [(list(s), t) for s, _, t in reference_walk(g, _decreasing_order(g, lab, pointed))]
+        assert got == want, i
+        leaves += len(got)
+        # the public views replay the same leaves, in the same order
+        for cs, (steps, t) in zip(enumerate_contracting_sets(g, lab, pointed), want, strict=True):
+            assert cs.contracting == {e for e, act in steps if act in (Activity.IA, Activity.II)}
+            assert activities(g, lab, cs, pointed) == dict(steps)
+            assert terminal_graph(g, lab, cs, pointed) == t
+    assert leaves > 4000
 
 
 def test_recursion_matches_rebuilt_minor_reference_randomized():
