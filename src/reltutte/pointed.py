@@ -22,7 +22,6 @@ from .graph import (
     is_bridge,
     is_connected,
     pivot_class_key,
-    rank,
     union_find,
 )
 from .poly import RelPolynomial
@@ -83,8 +82,10 @@ def _classify(pg: PointedGraph, cs: ContractingSet) -> str:
     find, _ = union_find(g, cs.contracting)
     if find(e.u) == find(e.v):
         return TYPE_C
+    # D is cocycle-free, so D + e has a cocycle exactly when e is a bridge of E - D
     removed = cs.deleting | {e.id}
-    if rank(g, (f.id for f in g.edges if f.id not in removed)) < rank(g, g.edge_ids()):
+    find, _ = union_find(g, (f.id for f in g.edges if f.id not in removed))
+    if find(e.u) != find(e.v):
         return TYPE_D
     return TYPE_ZERO
 

@@ -14,8 +14,11 @@ multiplies out, at the polynomial level, to a three-stage substitution:
 
 Summing over all subsets of the replaced color's edges (each subset demoted
 to zero edges beforehand) reproduces the universal relative Tutte polynomial
-of the product. ``verify_tensor_formula`` checks that equality by randomized
-evaluation modulo the labeling ideal.
+of the product. The three maps are linear, so the sum is taken first: one
+state sum of the base, in which each replaced edge may also be demoted,
+gives the sum over all subsets, and each map is applied to it once.
+``verify_tensor_formula`` checks that equality by randomized evaluation
+modulo the labeling ideal.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from .graph import (
     RECOLOR_ZERO,
     ColoredMultigraph,
     EdgeRecord,
+    PivotClassKey,
     _glue_along_edge,
     is_connected,
     pivot_class_key,
     recolor_subset,
     splice_all,
 )
-from .poly import RelPolynomial, equal_mod_ideal, monomial_key
+from .poly import RelPolynomial, equal_mod_ideal
 from .pointed import (
     TYPE_C,
     TYPE_D,
@@ -111,10 +115,15 @@ def _copy_graph_cached(g2: PointedGraph, f: str) -> PointedGraph:
     return PointedGraph(ColoredMultigraph(edges))
 
 
-@lru_cache(maxsize=1024)
 def tensor_product(ti: TensorInstance, flip: bool = False) -> ColoredMultigraph:
     """Replace every lambda-edge f of the base by a copy of the patch minus its
     pointed edge, glued at the pointed edge's endpoints, with ids ``f/...``."""
+    return _product(ti, flip)
+
+
+@lru_cache(maxsize=1024)
+def _product(ti: TensorInstance, flip: bool) -> ColoredMultigraph:
+    """``tensor_product``, cached on positional arguments so every call form shares one entry."""
     g = ti.g1
     for f in ti.lambda_edge_ids():
         g = _glue_along_edge(g, f, ti.g2.graph, ti.g2.pointed_id, f"{f}/", flip=flip)
@@ -237,7 +246,7 @@ def beta_lambda(p: RelPolynomial, lam: str, pp: PointedPolynomials) -> RelPolyno
         return powers[(kind, exp)]
 
     parts = []
-    for (vars_, zs), coeff in p.terms():
+    for (vars_, zs), coeff in p._terms.items():
         rest = [(vc, e) for vc, e in vars_ if vc[1] != lam]
         factor = RelPolynomial.monomial(coeff, rest, zs)
         for (kind, color), exp in vars_:
@@ -248,12 +257,15 @@ def beta_lambda(p: RelPolynomial, lam: str, pp: PointedPolynomials) -> RelPolyno
 
 
 def sigma(p: RelPolynomial) -> RelPolynomial:
-    """Collapse each monomial's z-multiset into a single spliced class."""
+    """Collapse each monomial's z-multiset into a single spliced class.
+
+    The blocks of a splice are its factors' blocks, so the class's codes are
+    the factors' codes together and its representative is their splice."""
     terms: dict = {}
-    for (vars_, zs), coeff in p.terms():
+    for (vars_, zs), coeff in p._terms.items():
         if len(zs) > 1:
-            key = pivot_class_key(splice_all([k.representative for k in zs]))
-            m = monomial_key(vars_, (key,))
+            codes = tuple(sorted(c for k in zs for c in k.codes))
+            m = (vars_, (PivotClassKey(codes, splice_all([k.representative for k in zs])),))
         else:
             m = (vars_, zs)
         terms[m] = terms.get(m, 0) + coeff
@@ -281,7 +293,7 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
     """
     parts = decompose_z_linear(t0) if not t0.is_zero else []
     out = []
-    for (vars_, zs), coeff in p.terms():
+    for (vars_, zs), coeff in p._terms.items():
         if len(zs) != 1:
             raise NotLinearInZ("expected exactly one z-symbol per monomial")
         key = zs[0]
@@ -305,28 +317,24 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
 
 
 @lru_cache(maxsize=1)
-def _orientation_free_stage(ti: TensorInstance) -> tuple[PointedPolynomials, tuple[RelPolynomial, ...]]:
-    """The patch's pointed polynomials, and ``sigma(beta_lambda(U(g1 with S
-    demoted)))`` for every demoted subset S, in mask order.
+def _orientation_free_stage(ti: TensorInstance) -> tuple[PointedPolynomials, RelPolynomial]:
+    """The patch's pointed polynomials, and ``sigma(beta_lambda(sum_S U(g1
+    with S demoted)))`` over the subsets S of the replaced color's edges.
 
-    Only beta_zero reads the gluing orientation, so both orientations share
-    this stage. Callers run the two orientations of an instance back to back,
-    so one entry catches every reuse.
+    The three maps are linear, so one state sum takes every demoted subset
+    and each map runs once. Only beta_zero reads the gluing orientation, so
+    both orientations share this stage. Callers run the two orientations of
+    an instance back to back, so one entry catches every reuse.
     """
     pp = pointed_polys(ti.g2)
-    lam_ids = ti.lambda_edge_ids()
-    stage = []
-    for mask in range(1 << len(lam_ids)):
-        s = frozenset(lam_ids[i] for i in range(len(lam_ids)) if mask >> i & 1)
-        u = universal_tutte_statesum(recolor_subset(ti.g1, s, RECOLOR_ZERO))
-        stage.append(sigma(beta_lambda(u, ti.lam, pp)))
-    return pp, tuple(stage)
+    u = universal_tutte_statesum(ti.g1, demotable=ti.lambda_edge_ids())
+    return pp, sigma(beta_lambda(u, ti.lam, pp))
 
 
 def substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPolynomial:
-    """The substitution pipeline side: sum over demoted subsets of the replaced color."""
+    """The substitution pipeline side, summed over demoted subsets of the replaced color."""
     pp, stage = _orientation_free_stage(ti)
-    return RelPolynomial.sum(beta_zero(p, pp.t0, flip=flip) for p in stage)
+    return beta_zero(stage, pp.t0, flip=flip)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .errors import ColorClash, ImproperLabeling, InvalidContractingSet, InvariantBreach
-from .graph import ColoredMultigraph, EdgeRecord, pivot_class_key, rank, union_find
+from .errors import ColorClash, ImproperLabeling, InvalidContractingSet, InvariantBreach, NotRegular
+from .graph import RECOLOR_ZERO, ColoredMultigraph, EdgeRecord, pivot_class_key, union_find
 from .poly import RelPolynomial, monomial_key
 
 
@@ -97,16 +97,20 @@ def _frame(g: ColoredMultigraph, lab: ProperLabeling, pointed_as_zero: bool) -> 
     return order, names, zero, [(index[e.u], index[e.v]) for e in order + zero]
 
 
-def _moves(part: tuple, i: int, ends: list) -> tuple:
+def _moves(part: tuple, i: int, ends: list, demoted: tuple = ()) -> tuple:
     """The walk's branches at edge i of a partition's minor, as (next
     partition, activity) pairs: a loop is deleted (EA), a bridge contracted
-    (IA), and any other edge contracted (II), then deleted (EI)."""
+    (IA), and any other edge contracted (II), then deleted (EI). The minor
+    keeps the later edges and the earlier edges of index ``demoted``."""
     a, b = ends[i]
     lo, hi = sorted((part[a], part[b]))
     if lo == hi:
         return ((part, Activity.EA),)
     merged = tuple(lo if r == hi else r for r in part)
-    if not _joined(part, a, b, ends[i + 1 :]):
+    later = ends[i + 1 :]
+    if demoted:
+        later += [ends[j] for j in demoted]
+    if not _joined(part, a, b, later):
         return ((merged, Activity.IA),)
     return ((merged, Activity.II), (part, Activity.EI))
 
@@ -158,7 +162,9 @@ def validate_contracting_set(
     _, closing = union_find(g, cs.contracting)
     if closing:
         raise InvalidContractingSet(f"C contains a cycle through {closing[0]!r}")
-    if rank(g, (e.id for e in g.edges if e.id not in cs.deleting)) != rank(g, g.edge_ids()):
+    # D is cocycle-free exactly when E - D joins the ends of every edge of D
+    find, _ = union_find(g, (e.id for e in g.edges if e.id not in cs.deleting))
+    if any(find(e.u) != find(e.v) for e in map(g.edge, cs.deleting)):
         raise InvalidContractingSet("D contains a cocycle")
 
 
@@ -223,30 +229,53 @@ def universal_tutte_statesum(
     g: ColoredMultigraph,
     lab: Optional[ProperLabeling] = None,
     pointed_as_zero: bool = False,
+    demotable: Iterable[str] = (),
 ) -> RelPolynomial:
     """State sum over all contracting sets; linear in the z-symbols.
 
-    Maps partitions (each index points at its block's least vertex) to
-    {packed weight: (leaves, least branch path)}, edge by edge."""
+    With ``demotable`` regular edges, the sum over every subset S of them of
+    the state sum of g with S demoted to ``lambda0`` zero edges: a demotable
+    edge also takes a third branch that keeps it in the minor as a zero edge.
+
+    Maps the indices of the edges demoted so far to partitions (each index
+    points at its block's least vertex) to {packed weight: (leaves, least
+    branch path)}, edge by edge. Demote bits rank above delete bits in a
+    path, so a monomial's key comes from the first subset in mask order that
+    has it, as in a sum of the per-subset state sums."""
     _check_colors(g)
     order, names, zero, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
     k = len(order)  # each (kind, color) count is one base-(k + 1) digit of a packed weight
+    wanted = set(demotable)
+    demote = {i for i, e in enumerate(order) if e.id in wanted}
+    if len(demote) != len(wanted):
+        raise NotRegular(f"edges {sorted(wanted - {e.id for e in order})} are not regular edges")
     unit = {s: (k + 1) ** i for i, s in enumerate(dict.fromkeys((kind, e.color) for e in order for kind in "XxYy"))}
-    states = {tuple(range(len(names))): {0: (1, 0)}}
+    states = {(): {tuple(range(len(names))): {0: (1, 0)}}}
     for i, e in enumerate(order):
-        delete_bit, nxt = 1 << (k - 1 - i), {}
-        for part, weights in states.items():
-            for target, act in _moves(part, i, ends):
-                step, out = unit[_WEIGHT_KIND[act], e.color], nxt.setdefault(target, {})
-                bit = delete_bit if act is Activity.EI else 0
-                for w, (count, path) in weights.items():
-                    seen = out.get(w + step)
-                    out[w + step] = (count, path | bit) if seen is None else (seen[0] + count, min(seen[1], path | bit))
+        delete_bit, nxt, demotes = 1 << (k - 1 - i), {}, i in demote
+        for demoted, group in states.items():
+            kept = nxt.setdefault(demoted, {})
+            lowered = nxt.setdefault(demoted + (i,), {}) if demotes else None
+            for part, weights in group.items():
+                moves = _moves(part, i, ends, demoted)
+                if demotes:
+                    moves += ((part, None),)
+                for target, act in moves:
+                    if act is None:  # demoted: no weight, and a demote bit ranks above every delete bit
+                        step, bit, out = 0, delete_bit << k, lowered.setdefault(part, {})
+                    else:
+                        step, bit = unit[_WEIGHT_KIND[act], e.color], delete_bit if act is Activity.EI else 0
+                        out = kept.setdefault(target, {})
+                    for w, (count, path) in weights.items():
+                        seen = out.get(w + step)
+                        out[w + step] = (count, path | bit) if seen is None else (seen[0] + count, min(seen[1], path | bit))
         states = nxt
     leaves = []
-    for part, weights in states.items():
-        key = pivot_class_key(_terminal_minor(part, names, zero, ends[k:]))
-        leaves += [(path, w, count, key) for w, (count, path) in weights.items()]
+    for demoted, group in states.items():
+        dz = [EdgeRecord(order[j].id, order[j].u, order[j].v, RECOLOR_ZERO, True, False) for j in demoted]
+        for part, weights in group.items():
+            key = pivot_class_key(_terminal_minor(part, names, zero + dz, ends[k:] + [ends[j] for j in demoted]))
+            leaves += [(path, w, count, key) for w, (count, path) in weights.items()]
     terms: dict = {}
     for _, w, count, key in sorted(leaves, key=lambda leaf: leaf[0]):
         m = monomial_key(((s, w // u % (k + 1)) for s, u in unit.items()), (key,))

@@ -12,7 +12,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from typing import Mapping
 
 from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable
-from reltutte.errors import LoopTwoSum
+from reltutte.errors import InvalidContractingSet, LoopTwoSum
 from reltutte.graph import (
     RECOLOR_ZERO,
     _glue_along_edge,
@@ -22,10 +22,11 @@ from reltutte.graph import (
     is_loop,
     pivot_class_key,
     recolor_subset,
+    splice_all,
 )
 from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph, pointed_polys
 from reltutte.poly import monomial_key
-from reltutte.tensor import TensorInstance, beta_lambda, beta_zero, sigma
+from reltutte.tensor import TensorInstance, beta_lambda, beta_zero
 from reltutte.tutte import (
     _CONTRACTED,
     _WEIGHT_KIND,
@@ -198,6 +199,32 @@ def brute_contracting_sets(g: ColoredMultigraph, pointed_as_zero: bool = False) 
             if acyclic(g, c) and cocycle_free(g, d):
                 out.append((frozenset(c), frozenset(d)))
     return out
+
+
+def reference_validate_contracting_set(g: ColoredMultigraph, cs: ContractingSet, pointed_as_zero: bool = False) -> None:
+    """The definition by ranks: C and D split the regular edges, r(C) = |C|,
+    and r(E - D) = r(E). The cycle named is the first prefix of C, in id
+    order, whose rank falls short of its size."""
+    regular = set(g.regular_ids(pointed_as_zero))
+    if cs.contracting | cs.deleting != regular or cs.contracting & cs.deleting:
+        raise InvalidContractingSet("C and D must partition the regular edges")
+    c = sorted(cs.contracting)
+    for k in range(1, len(c) + 1):
+        if edge_rank(g, c[:k]) < k:
+            raise InvalidContractingSet(f"C contains a cycle through {c[k - 1]!r}")
+    if edge_rank(g, [e for e in g.edge_ids() if e not in cs.deleting]) != edge_rank(g, g.edge_ids()):
+        raise InvalidContractingSet("D contains a cocycle")
+
+
+def reference_classify(pg: PointedGraph, cs: ContractingSet) -> str:
+    """Type of a contracting set by ranks: C when r(C + e) = r(C), D when
+    r(E - D - e) < r(E), zero otherwise, for the pointed edge e."""
+    g, e = pg.graph, pg.pointed_id
+    if edge_rank(g, cs.contracting | {e}) == edge_rank(g, cs.contracting):
+        return TYPE_C
+    if edge_rank(g, [f for f in g.edge_ids() if f not in cs.deleting | {e}]) < edge_rank(g, g.edge_ids()):
+        return TYPE_D
+    return TYPE_ZERO
 
 
 # -- blocks and isomorphism ------------------------------------------------------------
@@ -442,10 +469,24 @@ def reference_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> 
 # -- reference substitution pipeline -------------------------------------------------------
 
 
+def reference_sigma(p: RelPolynomial) -> RelPolynomial:
+    """Collapse each monomial's z-multiset into the canonical key of its factors' splice."""
+    terms: dict = {}
+    for (vars_, zs), coeff in p.terms():
+        if len(zs) > 1:
+            key = pivot_class_key(splice_all([k.representative for k in zs]))
+            m = monomial_key(vars_, (key,))
+        else:
+            m = (vars_, zs)
+        terms[m] = terms.get(m, 0) + coeff
+    return RelPolynomial(terms)
+
+
 def reference_substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPolynomial:
-    """The substitution side recomputed from scratch: every stage for every
-    demoted subset, with pointed polynomials of a fresh copy of the patch, so
-    no cached pointed polynomial or orientation-free stage is read."""
+    """The substitution side recomputed from scratch: a state sum of its own
+    and every stage for every demoted subset, with pointed polynomials of a
+    fresh copy of the patch, so no cached pointed polynomial or
+    orientation-free stage is read."""
     pp = pointed_polys(PointedGraph(ti.g2.graph))
     lam_ids = ti.lambda_edge_ids()
     parts = []
@@ -453,7 +494,7 @@ def reference_substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPol
         s = frozenset(lam_ids[i] for i in range(len(lam_ids)) if mask >> i & 1)
         g1s = recolor_subset(ti.g1, s, RECOLOR_ZERO)
         u = universal_tutte_statesum(g1s)
-        parts.append(beta_zero(sigma(beta_lambda(u, ti.lam, pp)), pp.t0, flip=flip))
+        parts.append(beta_zero(reference_sigma(beta_lambda(u, ti.lam, pp)), pp.t0, flip=flip))
     return RelPolynomial.sum(parts)
 
 

@@ -10,6 +10,8 @@ from oracles import (
     connected_multigraph_structures,
     iso_classes,
     patch_graph_family,
+    reference_classify,
+    reference_validate_contracting_set,
 )
 from reltutte import (
     PointedGraph,
@@ -26,7 +28,7 @@ from reltutte import (
     variable,
     z_symbol,
 )
-from reltutte.errors import NoPointedEdge, NotLinearInZ, PointedIsLoopOrBridge
+from reltutte.errors import InvalidContractingSet, NoPointedEdge, NotLinearInZ, PointedIsLoopOrBridge
 from reltutte.pointed import (
     TYPE_C,
     TYPE_D,
@@ -36,7 +38,7 @@ from reltutte.pointed import (
     universal_with_pointed_zero,
 )
 from reltutte.randgen import derived_seed, random_pointed_graph
-from reltutte.tutte import ContractingSet, enumerate_contracting_sets
+from reltutte.tutte import ContractingSet, enumerate_contracting_sets, validate_contracting_set
 
 
 def _cs(c=(), d=()):
@@ -103,6 +105,35 @@ def test_classify_pair_matches_terminal_status_oracle():
             assert classify_pair(pg, cs) == _classify_by_terminal_status(pg, cs)
             checked += 1
     assert checked > len(patches)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except InvalidContractingSet as exc:
+        return str(exc)
+
+
+def test_validation_and_classification_match_rank_definition():
+    # random splits of the regular edges, most of them invalid, then every
+    # enumerated set; the pointed edge is a zero edge throughout
+    outcomes = set()
+    for i in range(300):
+        rng = random.Random(derived_seed(34, i))
+        pg = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2))
+        g, regular = pg.graph, sorted(pg.graph.regular_ids(pointed_as_zero=True))
+        pairs = list(enumerate_contracting_sets(g, pointed_as_zero=True))
+        for _ in range(4):
+            c = {e for e in regular if rng.random() < 0.5}
+            d = {e for e in regular if e not in c and rng.random() < 0.9} | ({"ep"} if rng.random() < 0.1 else set())
+            pairs.append(_cs(c, d))
+        for cs in pairs:
+            want = _outcome(reference_validate_contracting_set, g, cs, True)
+            assert _outcome(validate_contracting_set, g, cs, True) == want, (i, cs)
+            if want is None:
+                assert classify_pair(pg, cs) == reference_classify(pg, cs), (i, cs)
+            outcomes.add(want and want.split(" through")[0])
+    assert outcomes == {None, "C and D must partition the regular edges", "C contains a cycle", "D contains a cocycle"}
 
 
 def test_pi_filters():

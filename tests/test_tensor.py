@@ -60,6 +60,17 @@ def test_product_single_loop_is_patch_contracted():
     assert pivot_class_key(prod) == pivot_class_key(ti.g2.contracted())
 
 
+def test_tensor_product_call_forms_share_one_entry():
+    from reltutte.tensor import _product
+
+    ti = _instance("edge f1 a b color=lam\nedge m a b color=mu")
+    _product.cache_clear()
+    prods = [tensor_product(ti), tensor_product(ti, False), tensor_product(ti, flip=False)]
+    info = _product.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    assert prods[0] is prods[1] is prods[2]
+
+
 def test_instance_without_lambda_edges_rejected():
     # a replaced color on no regular base edge would make the product the base itself
     with pytest.raises(InstanceInvalid, match="no regular edge"):
@@ -217,6 +228,20 @@ def test_sigma_collapses_multisets():
     q = z_symbol(a) * z_symbol(a) * z_symbol(b)
     assert sigma(sigma(q)) == sigma(q)
     assert sigma(RelPolynomial.const(4) * z_symbol(EMPTY_KEY) * z_symbol(b)) == RelPolynomial.const(4) * z_symbol(b)
+
+
+def test_sigma_matches_canonicalizing_reference():
+    from oracles import reference_sigma
+
+    multi = 0
+    for i in range(40):
+        ti = random_tensor_instance(random.Random(derived_seed(43, i)), g1_regular=5, g1_lambda=(2, 3), g2_regular=3)
+        u = universal_tutte_statesum(ti.g1, demotable=ti.lambda_edge_ids())
+        p = beta_lambda(u, ti.lam, pointed_polys(ti.g2))
+        p = RelPolynomial({m: c for m, c in p._terms.items() if len(m[1]) > 1})
+        assert _terms_and_representatives(sigma(p)) == _terms_and_representatives(reference_sigma(p)), i
+        multi += len(p)
+    assert multi > 200
 
 
 def _demoted_graph(*edges):

@@ -30,8 +30,8 @@ from reltutte import (
     variable,
     z_symbol,
 )
-from reltutte.errors import ImproperLabeling, InvalidContractingSet
-from reltutte.graph import EMPTY_KEY
+from reltutte.errors import ImproperLabeling, InvalidContractingSet, NotRegular
+from reltutte.graph import EMPTY_KEY, RECOLOR_ZERO, recolor_subset
 from reltutte.randgen import (
     RandomInstanceSpec,
     derived_seed,
@@ -255,6 +255,50 @@ def _edge_cases():
 def test_statesum_matches_walk_reference_edge_cases():
     for g in _edge_cases():
         _assert_matches_reference(g)
+
+
+def _per_subset_sum(g, demotable, lab=None):
+    """RelPolynomial.sum of the state sums of g with each subset of demotable
+    demoted, in mask order: the edge with the largest label is the highest bit."""
+    lab = lab or canonical_labeling(g)
+    ranked = sorted(demotable, key=lambda e: lab[e])
+    parts = []
+    for mask in range(1 << len(ranked)):
+        s = {e for j, e in enumerate(ranked) if mask >> j & 1}
+        labels = {e: 0 if e in s else v for e, v in lab.labels.items()}
+        parts.append(universal_tutte_statesum(recolor_subset(g, s, RECOLOR_ZERO), ProperLabeling(labels)))
+    return RelPolynomial.sum(parts)
+
+
+def test_demoted_statesum_matches_per_subset_sums():
+    demoted = 0
+    for i in range(400):
+        rng = random.Random(derived_seed(35, i))
+        g = random_graph_with_zero_edges(rng, max_edges=8) if i % 2 else random_graph(rng, RandomInstanceSpec(zero_edges=(0, 1)))
+        color = rng.choice(g.regular_colors())
+        demotable = [e for e in g.regular_ids() if g.edge(e).color == color and rng.random() < 0.7]
+        lab = random_proper_labeling(rng, g) if i % 3 else None
+        _assert_same_terms(universal_tutte_statesum(g, lab, demotable=demotable), _per_subset_sum(g, demotable, lab))
+        demoted += len(demotable)
+    assert demoted > 400
+
+
+def test_demoted_statesum_edge_cases():
+    cases = [
+        (G("edge l a a color=lam\nedge f a b color=lam\nedge m b a color=mu"), ["l"]),  # a demotable loop
+        (G("edge f a b color=lam\nedge m b c color=mu\nedge n c b color=mu"), ["f"]),  # a demotable bridge
+        (G("edge f a b color=lam\nedge g b a color=lam\nedge h a b color=z0 zero"), ["f", "g"]),  # with a zero edge
+        (G("edge f a a color=lam\nedge g a a color=lam"), ["f", "g"]),  # every edge demotable
+    ]
+    for g, demotable in cases:
+        _assert_same_terms(universal_tutte_statesum(g, demotable=demotable), _per_subset_sum(g, demotable))
+    # with no demotable edge the state sum is the plain one, down to order and representatives
+    for g in _edge_cases() + [g for g, _ in cases]:
+        got = universal_tutte_statesum(g, demotable=())
+        _assert_same_terms(got, reference_statesum(g))
+        assert got.render() == universal_tutte_statesum(g).render()
+    with pytest.raises(NotRegular):
+        universal_tutte_statesum(cases[2][0], demotable=["h"])
 
 
 def _walk_instance(i):
