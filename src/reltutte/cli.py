@@ -30,9 +30,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by i
 class Emitter:
     """Buffers either text lines or json objects, one per logical record."""
 
-    def __init__(self, fmt: str, out=None):
+    def __init__(self, fmt: str):
         self.fmt = fmt
-        self.out = out or sys.stdout
+        self.out = sys.stdout
 
     def config(self, **kv):
         if self.fmt == "jsonl":

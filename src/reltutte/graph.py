@@ -584,10 +584,6 @@ class PivotClassKey:
     codes: tuple[str, ...]
     representative: ColoredMultigraph = field(compare=False, hash=False)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.codes
-
     def pointed_edge_count(self) -> int:
         return sum(1 for e in self.representative.edges if e.is_pointed)
 

@@ -53,6 +53,7 @@ class PointedGraph:
         # computed on first use and kept for the life of this pointed graph
         self._universal: RelPolynomial | None = None
         self._polys: PointedPolynomials | None = None
+        self._copies: dict[str, PointedGraph] = {}  # TensorInstance.copy_graph's namespaced copies
 
     def contracted(self) -> ColoredMultigraph:
         return contract(self.graph, self.pointed_id)
@@ -118,17 +119,13 @@ def pi_0(p: RelPolynomial) -> RelPolynomial:
     return _map_z_linear(p, lambda k: k if k.pointed_status() == "inner" else None)
 
 
-def _pointed_edge_id(key: PivotClassKey) -> str:
-    return next(e.id for e in key.representative.edges if e.is_pointed)
-
-
 def pi_contract(p: RelPolynomial) -> RelPolynomial:
     """Contract the unique pointed edge inside each class; drop loop classes."""
 
     def act(key: PivotClassKey):
         if key.pointed_edge_count() != 1 or key.pointed_status() == "loop":
             return None
-        return pivot_class_key(contract(key.representative, _pointed_edge_id(key)))
+        return pivot_class_key(contract(key.representative, key.representative.pointed_edge().id))
 
     return _map_z_linear(p, act)
 
@@ -139,7 +136,7 @@ def pi_delete(p: RelPolynomial) -> RelPolynomial:
     def act(key: PivotClassKey):
         if key.pointed_edge_count() != 1 or key.pointed_status() == "bridge":
             return None
-        return pivot_class_key(delete(key.representative, _pointed_edge_id(key)))
+        return pivot_class_key(delete(key.representative, key.representative.pointed_edge().id))
 
     return _map_z_linear(p, act)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import EngineError
 from .graph import ColoredMultigraph, EdgeRecord, is_bridge, is_connected
 from .pointed import PointedGraph
 from .tensor import TensorInstance
@@ -27,7 +28,6 @@ class RandomInstanceSpec:
     regular_edges: tuple[int, int] = (1, 6)
     zero_edges: tuple[int, int] = (0, 2)
     colors: int = 2
-    lambda_edges: tuple[int, int] = (1, 3)
     connected: bool = True
 
 
@@ -43,7 +43,6 @@ def random_graph(rng: random.Random, spec: RandomInstanceSpec) -> ColoredMultigr
         h = rng.randint(*spec.zero_edges)
         verts = [str(i) for i in range(n)]
         edges = []
-        ok = True
         for i in range(m + h):
             u = rng.choice(verts)
             if rng.random() < 0.1:
@@ -56,9 +55,7 @@ def random_graph(rng: random.Random, spec: RandomInstanceSpec) -> ColoredMultigr
             prefix = "h" if zero else "e"
             edges.append(EdgeRecord(f"{prefix}{i}", u, v, color, zero, False))
         g = ColoredMultigraph(edges, extra_vertices=verts)
-        if spec.connected and not is_connected(g):
-            ok = False
-        if ok:
+        if not spec.connected or is_connected(g):
             return g
     raise RuntimeError("rejection sampling failed to produce a graph")
 
@@ -90,14 +87,12 @@ def random_pointed_graph(
     rng: random.Random,
     max_regular: int = 4,
     zero_edges: tuple[int, int] = (0, 2),
-    colors: int = 2,
 ) -> PointedGraph:
     """Random connected pointed graph whose pointed edge is neither loop nor bridge."""
     spec = RandomInstanceSpec(
         vertices=(2, 4),
         regular_edges=(1, max_regular + 1),
         zero_edges=zero_edges,
-        colors=colors,
     )
     for _ in range(10000):
         g = random_graph(rng, spec)
@@ -135,11 +130,8 @@ def random_tensor_instance(
             zero_edges=g1_zero,
             colors=1,
         )
-        g1 = random_graph(rng, spec)
-        regular = list(g1.regular_ids())
-        if len(regular) < k:
-            continue
-        lam_ids = set(rng.sample(sorted(regular), k))
+        g1 = random_graph(rng, spec)  # exactly k + other regular edges
+        lam_ids = set(rng.sample(sorted(g1.regular_ids()), k))
         edges = []
         for e in g1.edges:
             if e.id in lam_ids:
@@ -150,6 +142,6 @@ def random_tensor_instance(
         try:
             g2 = random_pointed_graph(rng, max_regular=g2_regular, zero_edges=g2_zero)
             return TensorInstance(g1=g1, g2=g2, lam="lam")
-        except Exception:
+        except EngineError:  # a rejected draw
             continue
     raise RuntimeError("rejection sampling failed to produce a tensor instance")

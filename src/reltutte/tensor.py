@@ -99,20 +99,18 @@ class TensorInstance:
         return tuple(e.id for e in self.g1.edges if e.color == self.lam and not e.is_zero)
 
     def copy_graph(self, f: str) -> PointedGraph:
-        """The standalone namespaced copy of the patch assigned to base edge f."""
-        return _copy_graph_cached(self.g2, f)
+        """The standalone namespaced copy of the patch assigned to base edge f, kept on the patch."""
+        copies = self.g2._copies
+        if f not in copies:
+            edges = [
+                EdgeRecord(f"{f}/{e.id}", f"{f}/{e.u}", f"{f}/{e.v}", e.color, e.is_zero, e.is_pointed)
+                for e in self.g2.graph.edges
+            ]
+            copies[f] = PointedGraph(ColoredMultigraph(edges))
+        return copies[f]
 
     def copy_edge_ids(self, f: str) -> frozenset:
         return frozenset(f"{f}/{e.id}" for e in self.g2.graph.edges if e.id != self.g2.pointed_id)
-
-
-@lru_cache(maxsize=4096)
-def _copy_graph_cached(g2: PointedGraph, f: str) -> PointedGraph:
-    edges = [
-        EdgeRecord(f"{f}/{e.id}", f"{f}/{e.u}", f"{f}/{e.v}", e.color, e.is_zero, e.is_pointed)
-        for e in g2.graph.edges
-    ]
-    return PointedGraph(ColoredMultigraph(edges))
 
 
 def tensor_product(ti: TensorInstance, flip: bool = False) -> ColoredMultigraph:
@@ -121,9 +119,10 @@ def tensor_product(ti: TensorInstance, flip: bool = False) -> ColoredMultigraph:
     return _product(ti, flip)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1)
 def _product(ti: TensorInstance, flip: bool) -> ColoredMultigraph:
-    """``tensor_product``, cached on positional arguments so every call form shares one entry."""
+    """``tensor_product``, cached on positional arguments so every call form shares one entry.
+    A product is reused only by calls back to back on one instance, so one entry serves."""
     g = ti.g1
     for f in ti.lambda_edge_ids():
         g = _glue_along_edge(g, f, ti.g2.graph, ti.g2.pointed_id, f"{f}/", flip=flip)
@@ -143,10 +142,7 @@ def product_labeling(ti: TensorInstance, prod: ColoredMultigraph) -> ProperLabel
     for k, f in enumerate(sorted(ti.g1.regular_ids()), start=1):
         if f in lam_ids:
             base = (k - 1) * m
-            copy_regular = sorted(
-                eid for eid in prod.edge_ids()
-                if eid.startswith(f"{f}/") and not prod.edge(eid).is_zero
-            )
+            copy_regular = sorted(eid for eid in ti.copy_edge_ids(f) if not prod.edge(eid).is_zero)
             for offset, eid in enumerate(copy_regular, start=1):
                 labels[eid] = base + offset
         else:
@@ -160,39 +156,23 @@ class InducedPartition:
 
     c1: frozenset
     d1: frozenset
-    h1_hat: frozenset
-    copy_types: Mapping[str, str]
-
-    @property
-    def demoted(self) -> frozenset:
-        """The lambda-edges sent to the zero side."""
-        return frozenset(f for f, t in self.copy_types.items() if t == TYPE_ZERO)
+    demoted: frozenset  # the lambda-edges sent to the zero side
 
 
 def induced_partition(ti: TensorInstance, cs: ContractingSet, flip: bool = False) -> InducedPartition:
     """Classify each copy's restriction and pull the contracting set back to the base."""
     validate_contracting_set(tensor_product(ti, flip=flip), cs)
     lam_ids = ti.lambda_edge_ids()
-    c1, d1, h1 = set(), set(), set(e.id for e in ti.g1.edges if e.is_zero)
-    copy_types = {}
+    sides = {TYPE_C: set(), TYPE_D: set(), TYPE_ZERO: set()}
     for f in lam_ids:
         ids = ti.copy_edge_ids(f)
         # a cut inside a copy that keeps the pointed edge's ends together cuts
         # the product too, so a product set restricts to a contracting set
-        t = _classify(ti.copy_graph(f), ContractingSet(cs.contracting & ids, cs.deleting & ids))
-        copy_types[f] = t
-        if t == TYPE_C:
-            c1.add(f)
-        elif t == TYPE_D:
-            d1.add(f)
-        else:
-            h1.add(f)
-    lam_set = set(lam_ids)
-    for e in ti.g1.edges:
-        if e.is_zero or e.id in lam_set:
-            continue
-        (c1 if e.id in cs.contracting else d1).add(e.id)
-    part = InducedPartition(frozenset(c1), frozenset(d1), frozenset(h1), copy_types)
+        sides[_classify(ti.copy_graph(f), ContractingSet(cs.contracting & ids, cs.deleting & ids))].add(f)
+    for eid in ti.g1.regular_ids():
+        if eid not in lam_ids:
+            sides[TYPE_C if eid in cs.contracting else TYPE_D].add(eid)
+    part = InducedPartition(*(frozenset(sides[t]) for t in (TYPE_C, TYPE_D, TYPE_ZERO)))
     base = recolor_subset(ti.g1, part.demoted, RECOLOR_ZERO)
     try:  # the bijection's claim: the pulled-back pair is a contracting set of the demoted base
         validate_contracting_set(base, ContractingSet(part.c1, part.d1))
@@ -227,7 +207,10 @@ def compose_contracting_set(
         c |= set(cs_f.contracting)
         d |= set(cs_f.deleting)
     cs = ContractingSet(frozenset(c), frozenset(d))
-    validate_contracting_set(tensor_product(ti, flip=flip), cs)
+    try:  # the bijection's claim: validated base and copy choices assemble a contracting set of the product
+        validate_contracting_set(tensor_product(ti, flip=flip), cs)
+    except InvalidContractingSet as exc:
+        raise InvariantBreach(f"the assembled product pair is not a contracting set: {exc}") from None
     return cs
 
 
@@ -309,8 +292,7 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
             for eid, j in zip(demoted, assignment):
                 pj, key_j = parts[j]
                 patch = key_j.representative
-                nu_id = next(e.id for e in patch.edges if e.is_pointed)
-                glued = _glue_along_edge(glued, eid, patch, nu_id, f"{eid}.", flip=flip)
+                glued = _glue_along_edge(glued, eid, patch, patch.pointed_edge().id, f"{eid}.", flip=flip)
                 weight = weight * pj
             out.append(weight * RelPolynomial.z_symbol(pivot_class_key(glued)))
     return RelPolynomial.sum(out)

@@ -24,7 +24,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .errors import ColorClash, ImproperLabeling, InvalidContractingSet, InvariantBreach, NotRegular
+from .errors import ImproperLabeling, InvalidContractingSet, InvariantBreach, NotRegular
 from .graph import RECOLOR_ZERO, ColoredMultigraph, EdgeRecord, pivot_class_key, union_find
 from .poly import RelPolynomial, monomial_key
 
@@ -80,12 +80,6 @@ def _decreasing_order(g: ColoredMultigraph, lab: ProperLabeling, pointed_as_zero
     return sorted(g.regular_ids(pointed_as_zero), key=lambda e: lab[e], reverse=True)
 
 
-def _check_colors(g: ColoredMultigraph) -> None:
-    clash = set(g.regular_colors()) & set(g.zero_colors())
-    if clash:
-        raise ColorClash(f"colors used on both sides: {sorted(clash)}")
-
-
 def _frame(g: ColoredMultigraph, lab: ProperLabeling, pointed_as_zero: bool) -> tuple[list, list, list, list]:
     """The integer frame of a walk: the regular edges in decreasing label
     order, the vertex names sorted (a vertex is its index), the zero edges,
@@ -120,22 +114,21 @@ def _walk(order: list[EdgeRecord], ends: list, n: int, contracting: Optional[fro
     partitions of the n vertex indices. Yields one (steps, partition) pair per
     leaf: steps are the (edge id, activity) pairs taken, live, so they change
     after the next leaf. With ``contracting``, only the branch that contracts
-    exactly those edges is followed."""
+    exactly those edges is followed. The stack is explicit, so no path
+    length meets the interpreter's recursion limit."""
     steps: list[tuple[str, Activity]] = []
-
-    def visit(part: tuple, i: int):
+    stack = [(0, None, tuple(range(n)))]
+    while stack:
+        i, step, part = stack.pop()
+        if i:
+            steps[i - 1 :] = [step]
         if i == len(order):
             yield steps, part
-            return
+            continue
         eid = order[i].id
-        for target, act in _moves(part, i, ends):
-            if contracting is not None and (act in _CONTRACTED) != (eid in contracting):
-                continue
-            steps.append((eid, act))
-            yield from visit(target, i + 1)
-            steps.pop()
-
-    return visit(tuple(range(n)), 0)
+        for target, act in reversed(_moves(part, i, ends)):
+            if contracting is None or (act in _CONTRACTED) == (eid in contracting):
+                stack.append((i + 1, (eid, act), target))
 
 
 def enumerate_contracting_sets(
@@ -242,7 +235,6 @@ def universal_tutte_statesum(
     branch path)}, edge by edge. Demote bits rank above delete bits in a
     path, so a monomial's key comes from the first subset in mask order that
     has it, as in a sum of the per-subset state sums."""
-    _check_colors(g)
     order, names, zero, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
     k = len(order)  # each (kind, color) count is one base-(k + 1) digit of a packed weight
     wanted = set(demotable)
@@ -289,36 +281,45 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
     vertices rooted at each block's least one, as ``contract`` names it, so
     contracting sets one parent, undone on return. Each partition's terminal
     graph is built once. Matches the state sum under the canonical labeling
-    term by term."""
-    _check_colors(g)
+    term by term. The stack is explicit, so no path length meets the
+    interpreter's recursion limit: ("visit", i) pushes the minor's polynomial
+    onto ``done``, and (kind, i, b) undoes edge i and weights the results."""
     order, names, zero, ends = _frame(g, canonical_labeling(g, pointed_as_zero), pointed_as_zero)
-    parent, leaves = list(range(len(names))), {}
+    parent, leaves, done = list(range(len(names))), {}, []
 
     def find(v, up):
         while up[v] != v:
             v = up[v]
         return v
 
-    def visit(i: int) -> RelPolynomial:
-        if i == len(order):
+    def var(kind, i):
+        return RelPolynomial.variable(kind, order[i].color)
+
+    tasks = [("visit", 0, 0)]
+    while tasks:
+        task, i, b = tasks.pop()
+        if task != "visit":
+            parent[b] = b  # a no-op unless edge i was contracted
+            if task == "x":  # the contraction is done: now the deletion
+                tasks += [("y", i, b), ("visit", i + 1, b)]
+            elif task == "y":
+                deleted = done.pop()
+                done[-1] = var("x", i) * done[-1] + var("y", i) * deleted
+            else:
+                done[-1] = var(task, i) * done[-1]
+        elif i == len(order):
             part = tuple(find(v, parent) for v in range(len(names)))
             if part not in leaves:
                 leaves[part] = RelPolynomial.z_symbol(pivot_class_key(_terminal_minor(part, names, zero, ends[i:])))
-            return leaves[part]
-        color = order[i].color
-        a, b = sorted(find(v, parent) for v in ends[i])
-        if a == b:
-            return RelPolynomial.variable("Y", color) * visit(i + 1)
-        rest = parent[:]  # the blocks, joined by the edges after i
-        for u, v in ends[i + 1 :]:
-            rest[find(u, rest)] = find(v, rest)
-        parent[b] = a
-        contracted = visit(i + 1)
-        parent[b] = b
-        if find(a, rest) != find(b, rest):
-            return RelPolynomial.variable("X", color) * contracted
-        return RelPolynomial.variable("x", color) * contracted + RelPolynomial.variable("y", color) * visit(i + 1)
-
-    out = visit(0)
-    del visit  # it refers to itself through its closure: break the cycle so the leaves free now
-    return out
+            done.append(leaves[part])
+        else:
+            a, b = sorted(find(v, parent) for v in ends[i])
+            task = "Y"
+            if a != b:
+                rest = parent[:]  # the blocks, joined by the edges after i
+                for u, v in ends[i + 1 :]:
+                    rest[find(u, rest)] = find(v, rest)
+                parent[b] = a
+                task = "X" if find(a, rest) != find(b, rest) else "x"
+            tasks += [(task, i, b), ("visit", i + 1, b)]
+    return done[0]

@@ -33,7 +33,6 @@ from reltutte.tutte import (
     Activity,
     ContractingSet,
     ProperLabeling,
-    _check_colors,
     _decreasing_order,
     canonical_labeling,
     universal_tutte_statesum,
@@ -437,7 +436,6 @@ def reference_statesum(
     pointed_as_zero: bool = False,
 ) -> RelPolynomial:
     """State sum over all contracting sets; linear in the z-symbols."""
-    _check_colors(g)
     lab = lab or canonical_labeling(g, pointed_as_zero)
     terms: dict = {}
     for _, weight, graph in reference_walk(g, _decreasing_order(g, lab, pointed_as_zero)):
@@ -451,7 +449,6 @@ def reference_statesum(
 
 def reference_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelPolynomial:
     """Deletion-contraction on the regular edge of largest id, one rebuilt minor per node."""
-    _check_colors(g)
     regular = g.regular_ids(pointed_as_zero)
     if not regular:
         return RelPolynomial.z_symbol(pivot_class_key(g))

@@ -82,6 +82,24 @@ def test_tensor_product_file_round_trips(base_file, patch_file, tmp_path, capsys
     assert poly_line.split(": ", 1)[1] in second
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("".join(f"edge e{i} a a color=mu\n" for i in range(1200)) + "edge h a b color=z0 zero\n",
+         "Y[mu]^1200·z{bridge(z0)}"),
+        ("".join(f"edge e{i:04d} v{i} v{i + 1} color=mu\n" for i in range(1200)), "X[mu]^1200·z{}"),
+    ],
+    ids=["1200-loops", "1200-path"],
+)
+def test_tutte_deeper_than_the_recursion_limit(text, want, tmp_path, capsys):
+    # both walks are deeper than the interpreter's recursion limit
+    p = tmp_path / "deep.graph"
+    p.write_text(text)
+    assert main(["tutte", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert f"statesum: {want}\n" in out and f"recursive: {want}\n" in out
+
+
 def test_tutte_bad_file_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.graph"
     p.write_text("edge a 1 2 color=mu\nedge a 2 3 color=mu\n")

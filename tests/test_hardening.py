@@ -150,3 +150,25 @@ def test_library_has_no_assert_statements():
     ]
     assert len(list(src.glob("*.py"))) > 5
     assert found == []
+
+
+def test_library_catches_no_blanket_exceptions():
+    # a handler for every exception would also swallow InvariantBreach and plain bugs
+    import ast
+    import pathlib
+
+    import reltutte
+
+    def blanket(handler):
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(t is None or isinstance(t, ast.Name) and t.id in ("Exception", "BaseException") for t in caught)
+
+    src = pathlib.Path(reltutte.__file__).parent
+    handlers = [
+        (path.name, node)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    assert len(handlers) > 5
+    assert [f"{name}:{node.lineno}" for name, node in handlers if blanket(node)] == []

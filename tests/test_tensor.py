@@ -69,6 +69,40 @@ def test_tensor_product_call_forms_share_one_entry():
     info = _product.cache_info()
     assert (info.hits, info.misses) == (2, 1)
     assert prods[0] is prods[1] is prods[2]
+    # a second instance takes the one entry; the first instance's hits stay as they were
+    ti2 = _instance("edge f1 a b color=lam\nedge f2 b c color=lam\nedge m c a color=mu")
+    assert tensor_product(ti2) is tensor_product(ti2, flip=False) is not prods[0]
+    info = _product.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 2, 1)
+
+
+def test_copy_graph_built_once_per_patch():
+    patch = _patch()
+    ti = _instance("edge f1 a b color=lam\nedge f2 b c color=lam\nedge m c a color=mu", patch)
+    assert ti.copy_graph("f1") is ti.copy_graph("f1")
+    assert ti.copy_graph("f1") is not ti.copy_graph("f2")
+    # the copies belong to the patch, so every instance over it shares them
+    other = _instance("edge f1 a b color=lam\nedge m a b color=mu", patch)
+    assert other.copy_graph("f1") is ti.copy_graph("f1")
+
+
+def test_patch_and_copies_freed_with_last_reference():
+    import gc
+    import weakref
+
+    def use(ti):  # fills every cache that the bijection and the formula check read
+        for cs in enumerate_contracting_sets(tensor_product(ti)):
+            induced_partition(ti, cs)
+        assert verify_tensor_formula(ti, trials=2).equal
+
+    ti = _instance("edge f1 a b color=lam\nedge m a b color=mu")
+    use(ti)
+    refs = [weakref.ref(ti.g2), weakref.ref(ti.copy_graph("f1"))]
+    # another instance takes the one entry of each tensor cache
+    use(_instance("edge f1 a b color=lam\nedge m a b color=mu"))
+    del ti
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_instance_without_lambda_edges_rejected():
@@ -450,6 +484,28 @@ def test_orientation_free_stage_keeps_one_instance():
     info = _orientation_free_stage.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 1)
 
+
+
+def test_assembled_product_breach_is_internal(monkeypatch, capsys):
+    import reltutte.suite as suite
+    import reltutte.tensor as tensor
+    from reltutte.cli import main
+    from reltutte.errors import InvariantBreach
+
+    # the copy check reads each per-copy choice with its sides swapped: deleting
+    # the copy's only regular edge passes as type C and leaves a cocycle in the product
+    def swapped(pg, cs):
+        return classify_pair(pg, ContractingSet(cs.deleting, cs.contracting))
+
+    monkeypatch.setattr(tensor, "classify_pair", swapped)
+    patch = PointedGraph(G("edge ep 1 2 color=nu pointed\nedge r1 1 2 color=mu"))
+    ti = _instance("edge f1 a b color=lam\nedge m a b color=rho", patch)
+    with pytest.raises(InvariantBreach, match="assembled product pair"):
+        compose_contracting_set(ti, ({"f1"}, {"m"}, set()), {"f1": _cs(d={"f1/r1"})})
+    # the suite hands its choices over swapped, so they pass the check and break the product
+    monkeypatch.setattr(suite, "ContractingSet", lambda c, d: ContractingSet(d, c))
+    assert main(["suite", "--only", "bijection", "--instances", "1", "--seed", "0"]) == 3
+    assert "assembled product pair" in capsys.readouterr().err
 
 
 def test_pulled_back_base_breach_is_internal(monkeypatch, capsys):

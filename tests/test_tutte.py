@@ -345,6 +345,26 @@ def test_recursion_matches_rebuilt_minor_reference_edge_cases():
         _assert_same_terms(tutte_recursive(g), reference_recursive(g))
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("".join(f"edge e{i} a a color=mu\n" for i in range(1200)) + "edge h a b color=z0 zero\n",
+         "Y[mu]^1200·z{bridge(z0)}"),
+        ("".join(f"edge e{i:04d} v{i} v{i + 1} color=mu\n" for i in range(1200)), "X[mu]^1200·z{}"),
+    ],
+    ids=["1200-loops", "1200-path"],
+)
+def test_walks_deeper_than_the_recursion_limit(text, want):
+    g = G(text)
+    assert tutte_recursive(g).render() == universal_tutte_statesum(g).render() == want
+    (cs,) = enumerate_contracting_sets(g)
+    loops = {e.id for e in g.edges if e.is_loop}
+    assert cs.deleting == loops and cs.contracting == set(g.regular_ids()) - loops
+    lab = canonical_labeling(g)
+    assert set(activities(g, lab, cs).values()) == {Activity.EA if loops else Activity.IA}
+    assert pivot_class_key(terminal_graph(g, lab, cs)).render() == want.split("·")[1]
+
+
 def test_improper_labeling_rejected(parallel_pair):
     with pytest.raises(ImproperLabeling):
         universal_tutte_statesum(parallel_pair, ProperLabeling({"m": 0, "h": 0}))
