@@ -17,7 +17,7 @@ from .pointed import PointedGraph, pointed_polys
 from .poly import RelPolynomial
 from .suite import all_suite_names, run_suite
 from .tensor import TensorInstance, tensor_product, verify_tensor_formula
-from .textio import format_graph, parse_graph_file, write_graph_file
+from .textio import format_graph, parse_graph_file
 from .tutte import tutte_recursive, universal_tutte_statesum
 
 EXIT_OK = 0
@@ -54,6 +54,11 @@ class Emitter:
             self.out.write(text + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, as for any other input error
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def _int_at_least(text: str, low: int) -> int:
     value = int(text)
     if value < low:
@@ -79,16 +84,18 @@ def _add_common(p: argparse.ArgumentParser, seeded: bool = False, jobs: bool = F
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="reltutte")
+    ap = _Parser(prog="reltutte")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tutte", help="universal relative Tutte polynomial of a graph file")
     p.add_argument("graph")
     _add_common(p)
+    p.set_defaults(run=cmd_tutte)
 
     p = sub.add_parser("pointed", help="the five pointed polynomials of a pointed graph file")
     p.add_argument("graph")
     _add_common(p)
+    p.set_defaults(run=cmd_pointed)
 
     p = sub.add_parser("tensor", help="build a tensor product and print its polynomial")
     p.add_argument("g1")
@@ -97,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the product graph file here")
     _add_common(p)
     p.add_argument("--flip-orientation", action="store_true")
+    p.set_defaults(run=cmd_tensor)
 
     p = sub.add_parser("verify", help="check the substitution formula on an instance")
     p.add_argument("g1")
@@ -105,12 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-rhs", action="store_true", help=argparse.SUPPRESS)
     _add_common(p, seeded=True)
     p.add_argument("--flip-orientation", action="store_true")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("suite", help="run the randomized verification suites")
     p.add_argument("--instances", type=_non_negative_int, default=10)
     p.add_argument("--only", choices=all_suite_names(), action="append")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     _add_common(p, seeded=True, jobs=True)
+    p.set_defaults(run=cmd_suite)
 
     return ap
 
@@ -131,8 +141,7 @@ def cmd_tutte(args) -> int:
 
 def cmd_pointed(args) -> int:
     em = Emitter(args.format)
-    g = parse_graph_file(args.graph)
-    pg = PointedGraph(g)
+    pg = PointedGraph(parse_graph_file(args.graph))
     em.config(command="pointed")
     for name, p in pointed_polys(pg).as_dict().items():
         em.poly(name, p)
@@ -147,14 +156,12 @@ def _load_instance(args) -> TensorInstance:
 
 def cmd_tensor(args) -> int:
     em = Emitter(args.format)
-    ti = _load_instance(args)
+    prod = tensor_product(_load_instance(args), flip=args.flip_orientation)
+    if args.out:  # before the first byte of stdout, so a failed write leaves none
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(format_graph(prod, header=f"tensor product of {args.g1} and {args.g2} over {args.color}"))
     em.config(command="tensor", color=args.color, flip=args.flip_orientation)
-    prod = tensor_product(ti, flip=args.flip_orientation)
-    if args.out:
-        write_graph_file(prod, args.out, header=f"tensor product of {args.g1} and {args.g2} over {args.color}")
-        em.line(f"product written to {args.out}")
-    else:
-        em.line(format_graph(prod).rstrip("\n"))
+    em.line(f"product written to {args.out}" if args.out else format_graph(prod).rstrip("\n"))
     em.poly("product", universal_tutte_statesum(prod))
     return EXIT_OK
 
@@ -199,19 +206,10 @@ def cmd_suite(args) -> int:
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-_DISPATCH = {
-    "tutte": cmd_tutte,
-    "pointed": cmd_pointed,
-    "tensor": cmd_tensor,
-    "verify": cmd_verify,
-    "suite": cmd_suite,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _DISPATCH[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -98,8 +98,3 @@ def format_graph(g: ColoredMultigraph, header: str | None = None) -> str:
             flags += " pointed"
         lines.append(f"edge {e.id} {e.u} {e.v} color={e.color}{flags}")
     return "\n".join(lines) + "\n"
-
-
-def write_graph_file(g: ColoredMultigraph, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g, header=header))

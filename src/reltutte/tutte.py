@@ -91,6 +91,13 @@ def _frame(g: ColoredMultigraph, lab: ProperLabeling, pointed_as_zero: bool) -> 
     return order, names, zero, [(index[e.u], index[e.v]) for e in order + zero]
 
 
+def _packing(order: list[EdgeRecord]) -> tuple[dict, Callable]:
+    """Units of a weight packed as one base-(k + 1) digit per (kind, color) of the k edges ``order``, and its unpacking."""
+    base, symbols = len(order) + 1, dict.fromkeys((kind, e.color) for e in order for kind in "XxYy")
+    unit = {s: base**i for i, s in enumerate(symbols)}
+    return unit, lambda w, key: monomial_key(((s, w // u % base) for s, u in unit.items()), (key,))
+
+
 def _moves(part: tuple, i: int, ends: list, demoted: tuple = ()) -> tuple:
     """The walk's branches at edge i of a partition's minor, as (next
     partition, activity) pairs: a loop is deleted (EA), a bridge contracted
@@ -236,12 +243,12 @@ def universal_tutte_statesum(
     path, so a monomial's key comes from the first subset in mask order that
     has it, as in a sum of the per-subset state sums."""
     order, names, zero, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
-    k = len(order)  # each (kind, color) count is one base-(k + 1) digit of a packed weight
+    k = len(order)
     wanted = set(demotable)
     demote = {i for i, e in enumerate(order) if e.id in wanted}
     if len(demote) != len(wanted):
         raise NotRegular(f"edges {sorted(wanted - {e.id for e in order})} are not regular edges")
-    unit = {s: (k + 1) ** i for i, s in enumerate(dict.fromkeys((kind, e.color) for e in order for kind in "XxYy"))}
+    unit, monomial = _packing(order)
     states = {(): {tuple(range(len(names))): {0: (1, 0)}}}
     for i, e in enumerate(order):
         delete_bit, nxt, demotes = 1 << (k - 1 - i), {}, i in demote
@@ -270,7 +277,7 @@ def universal_tutte_statesum(
             leaves += [(path, w, count, key) for w, (count, path) in weights.items()]
     terms: dict = {}
     for _, w, count, key in sorted(leaves, key=lambda leaf: leaf[0]):
-        m = monomial_key(((s, w // u % (k + 1)) for s, u in unit.items()), (key,))
+        m = monomial(w, key)
         terms[m] = terms.get(m, 0) + count
     return RelPolynomial(terms)
 
@@ -279,38 +286,38 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
     """Deletion-contraction on the regular edge of largest id: T = x·T(G/e) + y·T(G−e),
     X·T(G/e) for a bridge, Y·T(G−e) for a loop. A minor is a union-find of the
     vertices rooted at each block's least one, as ``contract`` names it, so
-    contracting sets one parent, undone on return. Each partition's terminal
-    graph is built once. Matches the state sum under the canonical labeling
-    term by term. The stack is explicit, so no path length meets the
-    interpreter's recursion limit: ("visit", i) pushes the minor's polynomial
-    onto ``done``, and (kind, i, b) undoes edge i and weights the results."""
+    contracting sets one parent, undone on return. Its polynomial is a {(weight, z-key):
+    coefficient} dict, packed as in the state sum and made one polynomial at the end; each
+    partition's terminal graph is built once. Matches the state sum under the canonical labeling
+    term by term. The stack is explicit: ("visit", i) pushes the minor's dict onto ``done``, and
+    (kind, i, b) undoes edge i and adds its variable's unit to the weights."""
     order, names, zero, ends = _frame(g, canonical_labeling(g, pointed_as_zero), pointed_as_zero)
-    parent, leaves, done = list(range(len(names))), {}, []
+    (unit, monomial), parent, leaves, done = _packing(order), list(range(len(names))), {}, []
 
     def find(v, up):
         while up[v] != v:
             v = up[v]
         return v
 
-    def var(kind, i):
-        return RelPolynomial.variable(kind, order[i].color)
-
     tasks = [("visit", 0, 0)]
     while tasks:
         task, i, b = tasks.pop()
         if task != "visit":
             parent[b] = b  # a no-op unless edge i was contracted
+            step = unit[task, order[i].color]
+            terms = {(w + step, key): n for (w, key), n in done.pop().items()}
+            if task == "y":  # the deleted terms follow the contracted ones
+                out = done[-1]
+                for m, n in terms.items():
+                    out[m] = out.get(m, 0) + n
+            else:
+                done.append(terms)
             if task == "x":  # the contraction is done: now the deletion
                 tasks += [("y", i, b), ("visit", i + 1, b)]
-            elif task == "y":
-                deleted = done.pop()
-                done[-1] = var("x", i) * done[-1] + var("y", i) * deleted
-            else:
-                done[-1] = var(task, i) * done[-1]
         elif i == len(order):
             part = tuple(find(v, parent) for v in range(len(names)))
             if part not in leaves:
-                leaves[part] = RelPolynomial.z_symbol(pivot_class_key(_terminal_minor(part, names, zero, ends[i:])))
+                leaves[part] = {(0, pivot_class_key(_terminal_minor(part, names, zero, ends[i:]))): 1}
             done.append(leaves[part])
         else:
             a, b = sorted(find(v, parent) for v in ends[i])
@@ -322,4 +329,4 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
                 parent[b] = a
                 task = "X" if find(a, rest) != find(b, rest) else "x"
             tasks += [(task, i, b), ("visit", i + 1, b)]
-    return done[0]
+    return RelPolynomial({monomial(w, key): n for (w, key), n in done[0].items()})

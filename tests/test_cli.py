@@ -215,6 +215,34 @@ def test_unreadable_input_exit_2(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_tensor_out_into_missing_directory_leaves_no_stdout(base_file, patch_file, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "product.graph"
+    assert main(["tensor", base_file, patch_file, "--color", "lam", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tutte", "g.graph", "--bogus"], "unrecognized arguments: --bogus"),
+        (["tutte"], "the following arguments are required: graph"),
+        (["tensor", "g1", "g2"], "the following arguments are required: --color"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "missing-positional", "missing-required-flag", "missing-command"],
+)
+def test_parse_error_is_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_counts_below_one_rejected(flag, value, base_file, patch_file, capsys):

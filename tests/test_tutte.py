@@ -365,6 +365,38 @@ def test_walks_deeper_than_the_recursion_limit(text, want):
     assert pivot_class_key(terminal_graph(g, lab, cs)).render() == want.split("·")[1]
 
 
+def test_walks_a_deep_path_of_three_colors():
+    # several packed digits at depth; a pendant zero edge keeps every edge a bridge
+    path = "".join(f"edge e{i:03d} v{i} v{i + 1} color={('mu', 'rho', 'tau')[i % 3]}\n" for i in range(600))
+    g = G(path + "edge h v0 w color=z0 zero\n")
+    want = "X[mu]^200·X[rho]^200·X[tau]^200·z{bridge(z0)}"
+    assert tutte_recursive(g).render() == universal_tutte_statesum(g).render() == want
+
+
+def _no_arithmetic(*args):
+    raise AssertionError("polynomial arithmetic called")
+
+
+def test_recursion_does_no_polynomial_arithmetic(monkeypatch):
+    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    k4 = G("".join(f"edge e{u}{v} {u} {v} color={'z0 zero' if (u, v) == (2, 3) else 'mu'}\n" for u, v in pairs))
+    pointed = G(
+        """
+        edge ep a b color=nu pointed
+        edge m1 b c color=mu
+        edge m2 c a color=rho
+        edge m3 a c color=mu
+        edge m4 c d color=rho
+        edge h d b color=z0 zero
+        """
+    )
+    want = [universal_tutte_statesum(k4), universal_tutte_statesum(pointed, pointed_as_zero=True)]
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RelPolynomial, name, _no_arithmetic)
+    _assert_same_terms(tutte_recursive(k4), want[0])
+    _assert_same_terms(tutte_recursive(pointed, pointed_as_zero=True), want[1])
+
+
 def test_improper_labeling_rejected(parallel_pair):
     with pytest.raises(ImproperLabeling):
         universal_tutte_statesum(parallel_pair, ProperLabeling({"m": 0, "h": 0}))
