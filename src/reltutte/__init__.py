@@ -9,23 +9,19 @@ from .graph import (
     EdgeRecord,
     PivotClassKey,
     blocks,
-    canonical_code,
     contract,
     delete,
     is_bridge,
     is_connected,
-    is_loop,
     pivot_class_key,
     recolor_subset,
     splice_all,
-    vertex_pivot,
 )
 from .poly import (
     EvaluationPoint,
     RelPolynomial,
     equal_mod_ideal,
     evaluate,
-    specialize_psi,
     variable,
     z_symbol,
 )
@@ -59,7 +55,6 @@ from .tutte import (
     activities,
     canonical_labeling,
     enumerate_contracting_sets,
-    terminal_graph,
     tutte_recursive,
     universal_tutte_statesum,
 )

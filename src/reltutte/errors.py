@@ -28,14 +28,6 @@ class LoopTwoSum(EngineError):
     pass
 
 
-class NotACutpoint(EngineError):
-    pass
-
-
-class BadReattachChoice(EngineError):
-    pass
-
-
 class NotRegular(EngineError):
     pass
 

@@ -18,24 +18,15 @@ from functools import lru_cache
 from itertools import count
 from typing import Callable, Iterable, Optional
 
-from .errors import (
-    BadReattachChoice,
-    ColorClash,
-    ContractLoop,
-    EngineError,
-    LoopTwoSum,
-    MixedColors,
-    NotACutpoint,
-    NotRegular,
-    UnknownEdge,
-)
+from .errors import ColorClash, ContractLoop, EngineError, LoopTwoSum, MixedColors, NotRegular, UnknownEdge
 
 #: Reserved color of the single distinguished (pointed) edge.
 POINTED_COLOR = "nu"
 #: Reserved zero color given to regular edges demoted by recolor_subset.
 RECOLOR_ZERO = "lambda0"
 
-_COLOR_RE = re.compile(r"^[A-Za-z0-9_]+$")
+#: A color token, matched whole with ``fullmatch``.
+COLOR_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -53,7 +44,7 @@ class EdgeRecord:
         object.__setattr__(self, "id", str(self.id))
         object.__setattr__(self, "u", str(self.u))
         object.__setattr__(self, "v", str(self.v))
-        if not _COLOR_RE.match(self.color):
+        if not COLOR_RE.fullmatch(self.color):
             raise EngineError(f"bad color token {self.color!r}")
         if self.is_pointed and self.is_zero:
             raise EngineError(f"edge {self.id}: pointed edges cannot be zero edges")
@@ -246,26 +237,11 @@ def delete(g: ColoredMultigraph, eid: str) -> ColoredMultigraph:
     return ColoredMultigraph(edges, extra_vertices=g.vertex_set)
 
 
-def is_loop(g: ColoredMultigraph, eid: str) -> bool:
-    return g.edge(eid).is_loop
-
-
 def is_bridge(g: ColoredMultigraph, eid: str) -> bool:
     """Whether the other edges leave the endpoints of eid apart (never for a loop)."""
     e = g.edge(eid)
     find, _ = union_find(g, (f for f in g.edge_ids() if f != e.id))
     return find(e.u) != find(e.v)
-
-
-def cutpoints(g: ColoredMultigraph) -> tuple[str, ...]:
-    """Vertices whose removal increases the component count."""
-    full = rank(g, g.edge_ids())
-    out = []
-    for v in sorted(g.vertex_set):
-        # removing v drops one vertex; the count grows when the rank drops by more
-        if full - rank(g, (e.id for e in g.edges if v not in (e.u, e.v))) > 1:
-            out.append(v)
-    return tuple(out)
 
 
 # -- blocks ---------------------------------------------------------------------
@@ -553,12 +529,6 @@ def canonical_atoms(g: ColoredMultigraph) -> tuple:
     return _canonical_atoms_cached(len(g.vertex_set), sig)
 
 
-def canonical_code(g: ColoredMultigraph) -> str:
-    atoms = canonical_atoms(g)
-    body = ",".join(f"{i}-{j}:{c}" for i, j, c in atoms)
-    return f"g{len(g.vertex_set)}({body})"
-
-
 def block_code(b: ColoredMultigraph) -> str:
     """Canonical printable code of a single block."""
     es = b.edges
@@ -619,56 +589,7 @@ def pivot_class_key(g: ColoredMultigraph) -> PivotClassKey:
 EMPTY_KEY = pivot_class_key(single_vertex())
 
 
-# -- pivot, splice, two-sum --------------------------------------------------------
-
-
-def vertex_pivot(g: ColoredMultigraph, cutpoint: str, reattach: tuple[str, str]) -> ColoredMultigraph:
-    """Split g at a cutpoint and re-splice the two parts at the given vertices.
-
-    The first reattach vertex selects the split: its component after removing
-    the cutpoint becomes one side (plus a fresh copy of the cutpoint); the
-    rest stays with the original cutpoint. The two reattach vertices are then
-    identified.
-    """
-    cutpoint = str(cutpoint)
-    a, b = str(reattach[0]), str(reattach[1])
-    if cutpoint not in cutpoints(g):
-        raise NotACutpoint(f"{cutpoint!r} is not a cutpoint")
-    if a == cutpoint or a not in g.vertex_set:
-        raise BadReattachChoice(f"{a!r} must be a vertex distinct from the cutpoint")
-    find, _ = union_find(g, (e.id for e in g.edges if cutpoint not in (e.u, e.v)))
-    root = find(a)
-    side = {v for v in g.vertex_set - {cutpoint} if find(v) == root}
-    if not any(e.other_end(cutpoint) in side for e in g.edges if cutpoint in (e.u, e.v) and not e.is_loop):
-        raise BadReattachChoice(f"the component of {a!r} is not attached to the cutpoint")
-    if b in side or b not in g.vertex_set:
-        raise BadReattachChoice(f"{b!r} must lie outside the component of {a!r}")
-    fresh = cutpoint
-    while fresh in g.vertex_set:
-        fresh += "'"
-    # detach the side of `a` onto a fresh copy of the cutpoint, then identify a with b
-    merged = min(a, b)
-
-    def rename(v):
-        if v in (a, b):
-            return merged
-        return v
-
-    edges = []
-    for e in g.edges:
-        u, v = e.u, e.v
-        if not e.is_loop and cutpoint in (u, v) and e.other_end(cutpoint) in side:
-            u = fresh if u == cutpoint else rename(u)
-            v = fresh if v == cutpoint else rename(v)
-        else:
-            u, v = rename(u), rename(v)
-        if (u, v) != (e.u, e.v):
-            edges.append(EdgeRecord(e.id, u, v, e.color, e.is_zero, e.is_pointed))
-        else:
-            edges.append(e)
-    extra = {rename(v) for v in g.vertex_set}
-    extra.add(fresh)
-    return ColoredMultigraph(edges, extra_vertices=extra)
+# -- splice, two-sum --------------------------------------------------------
 
 
 def splice_all(graphs: Iterable[ColoredMultigraph]) -> ColoredMultigraph:

@@ -25,12 +25,7 @@ from .graph import (
     union_find,
 )
 from .poly import RelPolynomial
-from .tutte import (
-    ContractingSet,
-    enumerate_contracting_sets,
-    universal_tutte_statesum,
-    validate_contracting_set,
-)
+from .tutte import ContractingSet, universal_tutte_statesum, validate_contracting_set
 
 TYPE_C = "C"
 TYPE_D = "D"
@@ -173,11 +168,3 @@ def universal_with_pointed_zero(pg: PointedGraph) -> RelPolynomial:
     if pg._universal is None:
         pg._universal = universal_tutte_statesum(pg.graph, pointed_as_zero=True)
     return pg._universal
-
-
-def contracting_sets_by_type(pg: PointedGraph) -> dict[str, list[ContractingSet]]:
-    """All contracting sets with the pointed edge as zero, bucketed by type."""
-    buckets: dict[str, list[ContractingSet]] = {TYPE_C: [], TYPE_D: [], TYPE_ZERO: []}
-    for cs in enumerate_contracting_sets(pg.graph, pointed_as_zero=True):
-        buckets[_classify(pg, cs)].append(cs)
-    return buckets

@@ -11,11 +11,10 @@ vanish identically.
 
 from __future__ import annotations
 
-import functools
 import random
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
-from .errors import MissingKey, NotLinearInZ
+from .errors import MissingKey
 from .graph import EMPTY_KEY, PivotClassKey
 
 VAR_KINDS = ("x", "X", "y", "Y")
@@ -54,17 +53,6 @@ def _mul_vars(a: tuple, b: tuple) -> tuple:
         return b
     if not b:
         return a
-    if len(a) == 1:
-        a, b = b, a
-    if len(b) == 1:  # insert the single variable into the sorted tuple
-        rank = _var_rank(b[0])
-        for i, ((kind, color), exp) in enumerate(a):
-            r = (color, _KIND_RANK[kind])
-            if r == rank:
-                return a[:i] + (((kind, color), exp + b[0][1]),) + a[i + 1 :]
-            if r > rank:
-                return a[:i] + b + a[i:]
-        return a + b
     acc = dict(a)
     for var, exp in b:
         acc[var] = acc.get(var, 0) + exp
@@ -101,11 +89,10 @@ class RelPolynomial:
         return RelPolynomial({((), ()): int(c)})
 
     @staticmethod
-    @functools.lru_cache(maxsize=None)  # polynomials are immutable, so one object serves every caller
-    def variable(kind: str, color: str, exp: int = 1) -> "RelPolynomial":
+    def variable(kind: str, color: str) -> "RelPolynomial":
         if kind not in VAR_KINDS:
             raise ValueError(f"unknown variable kind {kind!r}")
-        return RelPolynomial({monomial_key((((kind, color), exp),), ()): 1})
+        return RelPolynomial({((((kind, color), 1),), ()): 1})
 
     @staticmethod
     def z_symbol(key: PivotClassKey) -> "RelPolynomial":
@@ -168,10 +155,7 @@ class RelPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return RelPolynomial(acc)
+        return RelPolynomial.sum((self, other))
 
     __radd__ = __add__
 
@@ -191,10 +175,6 @@ class RelPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        one, many = (self, other) if len(self._terms) == 1 else (other, self)
-        if len(one._terms) == 1 and not next(iter(one._terms))[1]:  # z-free: distinct monomials stay distinct
-            ((v1, _), c1), = one._terms.items()
-            return RelPolynomial({(_mul_vars(v1, v2), z2): c1 * c2 for (v2, z2), c2 in many._terms.items()})
         acc: dict = {}
         for (v1, z1), c1 in self._terms.items():
             for (v2, z2), c2 in other._terms.items():
@@ -370,27 +350,3 @@ def equal_mod_ideal(
         if evaluate(diff, pt) != 0:
             return False
     return True
-
-
-def specialize_psi(
-    p: RelPolynomial,
-    psi: Mapping[PivotClassKey, RelPolynomial] | Callable[[PivotClassKey], RelPolynomial],
-) -> RelPolynomial:
-    """Substitute every z-symbol of a z-linear polynomial by its psi image."""
-    lookup = psi if callable(psi) else psi.__getitem__
-    parts = []
-    for (vars_, zs), coeff in p.terms():
-        if len(zs) > 1:
-            raise NotLinearInZ(f"monomial carries {len(zs)} z-symbols")
-        base = RelPolynomial({(vars_, ()): coeff})
-        if zs:
-            try:
-                image = lookup(zs[0])
-            except KeyError:
-                raise MissingKey(f"psi undefined on {zs[0].render()}") from None
-            image = _coerce(image)
-            if any(z for _, z in image._terms):
-                raise NotLinearInZ("psi image must be free of z-symbols")
-            base = base * image
-        parts.append(base)
-    return RelPolynomial.sum(parts)

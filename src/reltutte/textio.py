@@ -18,10 +18,9 @@ from .errors import (
     PointedZeroConflict,
     TwoPointedEdges,
 )
-from .graph import POINTED_COLOR, RECOLOR_ZERO, ColoredMultigraph, EdgeRecord
+from .graph import COLOR_RE, POINTED_COLOR, RECOLOR_ZERO, ColoredMultigraph, EdgeRecord
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.+~/'-]+$")
-_COLOR_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
 def parse_graph_text(text: str, source: str = "<string>") -> ColoredMultigraph:
@@ -46,7 +45,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> ColoredMultigraph:
         if not toks[4].startswith("color="):
             raise ParseError(f"{loc}: expected color=<token>, got {toks[4]!r}")
         color = toks[4][len("color="):]
-        if not _COLOR_RE.match(color):
+        if not COLOR_RE.fullmatch(color):
             raise ParseError(f"{loc}: bad color token {color!r}")
         flags = toks[5:]
         if any(f not in ("zero", "pointed") for f in flags):

@@ -10,9 +10,8 @@ graph is the terminal graph whose pivot class indexes the z-symbol.
 
 A node's minor is the vertex partition its contractions induce, each block
 named by its least vertex as ``contract`` names it; ``_moves`` reads a node's
-branches off it. Enumeration, activities and terminal graphs follow the walk
-node by node (``_walk``) and build a terminal graph only for a leaf that asks
-for one. The state sum counts the leaves level by level: equal partitions
+branches off it. Enumeration and activities follow the walk node by node
+(``_walk``). The state sum counts the leaves level by level: equal partitions
 have equal subtrees and merge. Each weight keeps its least branch path, which
 orders like the walk's leaves.
 """
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import ImproperLabeling, InvalidContractingSet, InvariantBreach, NotRegular
@@ -168,20 +166,6 @@ def validate_contracting_set(
         raise InvalidContractingSet("D contains a cocycle")
 
 
-def _replay(
-    g: ColoredMultigraph,
-    lab: ProperLabeling,
-    cs: ContractingSet,
-    pointed_as_zero: bool,
-) -> tuple[dict[str, Activity], Callable[[], ColoredMultigraph]]:
-    """The activities of the leaf that contracts exactly cs.contracting, and its terminal graph's builder."""
-    validate_contracting_set(g, cs, pointed_as_zero)
-    order, names, zero, ends = _frame(g, lab, pointed_as_zero)
-    for steps, part in _walk(order, ends, len(names), cs.contracting):
-        return dict(steps), partial(_terminal_minor, part, names, zero, ends[len(order) :])
-    raise InvariantBreach("a valid contracting set has no leaf in the deletion-contraction walk")
-
-
 def activities(
     g: ColoredMultigraph,
     lab: ProperLabeling,
@@ -189,17 +173,11 @@ def activities(
     pointed_as_zero: bool = False,
 ) -> dict[str, Activity]:
     """Activities by replaying contractions/deletions in decreasing label order."""
-    return _replay(g, lab, cs, pointed_as_zero)[0]
-
-
-def terminal_graph(
-    g: ColoredMultigraph,
-    lab: ProperLabeling,
-    cs: ContractingSet,
-    pointed_as_zero: bool = False,
-) -> ColoredMultigraph:
-    """The all-zero-edge graph left after processing in decreasing label order."""
-    return _replay(g, lab, cs, pointed_as_zero)[1]()
+    validate_contracting_set(g, cs, pointed_as_zero)
+    order, names, _, ends = _frame(g, lab, pointed_as_zero)
+    for steps, _ in _walk(order, ends, len(names), cs.contracting):
+        return dict(steps)
+    raise InvariantBreach("a valid contracting set has no leaf in the deletion-contraction walk")
 
 
 def _terminal_minor(part, names: list, zero: list, ends: list) -> ColoredMultigraph:

@@ -1,31 +1,37 @@
-"""Brute-force oracles, independent of the library's code paths.
+"""Brute-force oracles, independent of the library's code paths, and the
+test instruments that the library itself never calls.
 
-Everything here recomputes from first principles: subset enumeration, small
+The oracles recompute from first principles: subset enumeration, small
 determinants over exact fractions, and brute-force bijections. These stay
-deliberately dumb so they can arbitrate against the engine.
+deliberately dumb so they can arbitrate against the engine. The instruments
+(vertex pivots, psi-specialisation, terminal graphs, contracting sets by
+type and canonical graph codes) state the paper's invariants in tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Mapping
+from typing import Callable, Mapping
 
 from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable
-from reltutte.errors import InvalidContractingSet, LoopTwoSum
+from reltutte.errors import EngineError, InvalidContractingSet, LoopTwoSum, MissingKey, NotLinearInZ
 from reltutte.graph import (
     RECOLOR_ZERO,
+    PivotClassKey,
     _glue_along_edge,
+    canonical_atoms,
     contract,
     delete,
     is_bridge,
-    is_loop,
     pivot_class_key,
+    rank,
     recolor_subset,
     splice_all,
+    union_find,
 )
-from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph, pointed_polys
-from reltutte.poly import monomial_key
+from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph, _classify, pointed_polys
+from reltutte.poly import _coerce, monomial_key
 from reltutte.tensor import TensorInstance, beta_lambda, beta_zero
 from reltutte.tutte import (
     _CONTRACTED,
@@ -35,6 +41,7 @@ from reltutte.tutte import (
     ProperLabeling,
     _decreasing_order,
     canonical_labeling,
+    enumerate_contracting_sets,
     universal_tutte_statesum,
     validate_contracting_set,
 )
@@ -91,6 +98,77 @@ def reference_cutpoints(g: ColoredMultigraph) -> tuple[str, ...]:
         if len(reference_components(rest)) > base:
             out.append(v)
     return tuple(out)
+
+
+# -- vertex pivots -------------------------------------------------------------------
+
+
+class NotACutpoint(EngineError):
+    pass
+
+
+class BadReattachChoice(EngineError):
+    pass
+
+
+def cutpoints(g: ColoredMultigraph) -> tuple[str, ...]:
+    """Vertices whose removal increases the component count."""
+    full = rank(g, g.edge_ids())
+    out = []
+    for v in sorted(g.vertex_set):
+        # removing v drops one vertex; the count grows when the rank drops by more
+        if full - rank(g, (e.id for e in g.edges if v not in (e.u, e.v))) > 1:
+            out.append(v)
+    return tuple(out)
+
+
+def vertex_pivot(g: ColoredMultigraph, cutpoint: str, reattach: tuple[str, str]) -> ColoredMultigraph:
+    """Split g at a cutpoint and re-splice the two parts at the given vertices.
+
+    The first reattach vertex selects the split: its component after removing
+    the cutpoint becomes one side (plus a fresh copy of the cutpoint); the
+    rest stays with the original cutpoint. The two reattach vertices are then
+    identified.
+    """
+    cutpoint = str(cutpoint)
+    a, b = str(reattach[0]), str(reattach[1])
+    if cutpoint not in cutpoints(g):
+        raise NotACutpoint(f"{cutpoint!r} is not a cutpoint")
+    if a == cutpoint or a not in g.vertex_set:
+        raise BadReattachChoice(f"{a!r} must be a vertex distinct from the cutpoint")
+    find, _ = union_find(g, (e.id for e in g.edges if cutpoint not in (e.u, e.v)))
+    root = find(a)
+    side = {v for v in g.vertex_set - {cutpoint} if find(v) == root}
+    if not any(e.other_end(cutpoint) in side for e in g.edges if cutpoint in (e.u, e.v) and not e.is_loop):
+        raise BadReattachChoice(f"the component of {a!r} is not attached to the cutpoint")
+    if b in side or b not in g.vertex_set:
+        raise BadReattachChoice(f"{b!r} must lie outside the component of {a!r}")
+    fresh = cutpoint
+    while fresh in g.vertex_set:
+        fresh += "'"
+    # detach the side of `a` onto a fresh copy of the cutpoint, then identify a with b
+    merged = min(a, b)
+
+    def rename(v):
+        if v in (a, b):
+            return merged
+        return v
+
+    edges = []
+    for e in g.edges:
+        u, v = e.u, e.v
+        if not e.is_loop and cutpoint in (u, v) and e.other_end(cutpoint) in side:
+            u = fresh if u == cutpoint else rename(u)
+            v = fresh if v == cutpoint else rename(v)
+        else:
+            u, v = rename(u), rename(v)
+        if (u, v) != (e.u, e.v):
+            edges.append(EdgeRecord(e.id, u, v, e.color, e.is_zero, e.is_pointed))
+        else:
+            edges.append(e)
+    extra = {rename(v) for v in g.vertex_set}
+    extra.add(fresh)
+    return ColoredMultigraph(edges, extra_vertices=extra)
 
 
 # -- rank / classical Tutte -------------------------------------------------------
@@ -311,6 +389,16 @@ def block_multisets_equal(g1: ColoredMultigraph, g2: ColoredMultigraph) -> bool:
     return True
 
 
+# -- canonical codes -------------------------------------------------------------------
+
+
+def canonical_code(g: ColoredMultigraph) -> str:
+    """Printable isomorphism code of g: its vertex count and canonical atoms."""
+    atoms = canonical_atoms(g)
+    body = ",".join(f"{i}-{j}:{c}" for i, j, c in atoms)
+    return f"g{len(g.vertex_set)}({body})"
+
+
 # -- reference canonical form -------------------------------------------------------------
 
 
@@ -427,6 +515,18 @@ def reference_walk(g: ColoredMultigraph, order: list[str], cs: ContractingSet | 
     return visit(g, 0)
 
 
+def terminal_graph(
+    g: ColoredMultigraph,
+    lab: ProperLabeling,
+    cs: ContractingSet,
+    pointed_as_zero: bool = False,
+) -> ColoredMultigraph:
+    """The all-zero-edge graph left after processing in decreasing label order."""
+    validate_contracting_set(g, cs, pointed_as_zero)
+    ((_, _, t),) = reference_walk(g, _decreasing_order(g, lab, pointed_as_zero), cs)
+    return t
+
+
 # -- state sum leaf by leaf ----------------------------------------------------------------
 
 
@@ -461,6 +561,33 @@ def reference_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> 
     return RelPolynomial.variable("x", e.color) * reference_recursive(
         contract(g, eid), pointed_as_zero
     ) + RelPolynomial.variable("y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
+
+
+# -- psi-specialisation ------------------------------------------------------------------
+
+
+def specialize_psi(
+    p: RelPolynomial,
+    psi: Mapping[PivotClassKey, RelPolynomial] | Callable[[PivotClassKey], RelPolynomial],
+) -> RelPolynomial:
+    """Substitute every z-symbol of a z-linear polynomial by its psi image."""
+    lookup = psi if callable(psi) else psi.__getitem__
+    parts = []
+    for (vars_, zs), coeff in p.terms():
+        if len(zs) > 1:
+            raise NotLinearInZ(f"monomial carries {len(zs)} z-symbols")
+        base = RelPolynomial({(vars_, ()): coeff})
+        if zs:
+            try:
+                image = lookup(zs[0])
+            except KeyError:
+                raise MissingKey(f"psi undefined on {zs[0].render()}") from None
+            image = _coerce(image)
+            if any(z for _, z in image._terms):
+                raise NotLinearInZ("psi image must be free of z-symbols")
+            base = base * image
+        parts.append(base)
+    return RelPolynomial.sum(parts)
 
 
 # -- reference substitution pipeline -------------------------------------------------------
@@ -500,8 +627,6 @@ def reference_substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPol
 
 def iso_classes(graphs):
     """Deduplicate a graph stream by canonical code, preserving first hits."""
-    from reltutte import canonical_code
-
     out = {}
     for g in graphs:
         out.setdefault(canonical_code(g), g)
@@ -511,8 +636,6 @@ def iso_classes(graphs):
 def base_graph_family(structures, lam_counts=(1, 2), max_zero=1, regular_cap=None):
     """Colored bases for tensor instances: lam/mu regular edges plus z0 zero
     edges, enumerated over the given uncolored structures, deduplicated."""
-    from reltutte import canonical_code
-
     fam = {}
     for g in structures:
         ids = sorted(g.edge_ids())
@@ -541,9 +664,6 @@ def base_graph_family(structures, lam_counts=(1, 2), max_zero=1, regular_cap=Non
 def patch_graph_family(structures, max_zero=1, regular_cap=None):
     """Pointed patches: one edge recolored nu/pointed (must be neither loop
     nor bridge), optionally one zero edge, the rest mu; deduplicated."""
-    from reltutte import PointedGraph, canonical_code
-    from reltutte.errors import EngineError
-
     fam = {}
     for g in structures:
         ids = sorted(g.edge_ids())
@@ -688,11 +808,19 @@ def weight_polynomial(acts: Mapping[str, Activity], g: ColoredMultigraph) -> Rel
     return out
 
 
+def contracting_sets_by_type(pg: PointedGraph) -> dict[str, list[ContractingSet]]:
+    """All contracting sets with the pointed edge as zero, bucketed by type."""
+    buckets: dict[str, list[ContractingSet]] = {TYPE_C: [], TYPE_D: [], TYPE_ZERO: []}
+    for cs in enumerate_contracting_sets(pg.graph, pointed_as_zero=True):
+        buckets[_classify(pg, cs)].append(cs)
+    return buckets
+
+
 def _classify_by_terminal_status(pg: PointedGraph, cs: ContractingSet) -> str:
     """Cross-check: contract C and delete D, then look at the pointed edge."""
     lab = canonical_labeling(pg.graph, pointed_as_zero=True)
     ((_, _, t),) = reference_walk(pg.graph, _decreasing_order(pg.graph, lab, True), cs)
-    if is_loop(t, pg.pointed_id):
+    if t.edge(pg.pointed_id).is_loop:
         return TYPE_C
     if reference_is_bridge(t, pg.pointed_id):
         return TYPE_D

@@ -14,31 +14,31 @@ from conftest import G
 from oracles import (
     base_graph_family,
     blocks_bruteforce,
+    canonical_code,
     classical_tutte,
     colored_isomorphic,
     connected_multigraph_structures,
+    contracting_sets_by_type,
+    cutpoints,
     iso_classes,
     patch_graph_family,
     spanning_tree_count,
+    specialize_psi,
+    vertex_pivot,
 )
 from reltutte import (
     ColoredMultigraph,
     EdgeRecord,
     RelPolynomial,
     TensorInstance,
-    canonical_code,
     equal_mod_ideal,
     pivot_class_key,
     pointed_polys,
-    specialize_psi,
     universal_tutte_statesum,
     variable,
     verify_tensor_formula,
-    vertex_pivot,
     z_symbol,
 )
-from reltutte.graph import cutpoints
-from reltutte.pointed import contracting_sets_by_type
 from reltutte.randgen import (
     RandomInstanceSpec,
     derived_seed,

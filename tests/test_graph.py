@@ -6,10 +6,13 @@ import pytest
 
 from conftest import G
 from oracles import (
+    NotACutpoint,
     block_multisets_equal,
     blocks_bruteforce,
+    canonical_code,
     colored_isomorphic,
     connected_multigraph_structures,
+    cutpoints,
     iso_classes,
     reference_canonical_code,
     reference_components,
@@ -17,31 +20,29 @@ from oracles import (
     reference_is_bridge,
     reference_maximum_cliques,
     two_sum,
+    vertex_pivot,
 )
 from reltutte import (
     ColoredMultigraph,
     EdgeRecord,
     blocks,
-    canonical_code,
     contract,
     delete,
     is_bridge,
-    is_loop,
     pivot_class_key,
     recolor_subset,
     splice_all,
-    vertex_pivot,
 )
 from reltutte.errors import (
     ColorClash,
     ContractLoop,
+    EngineError,
     LoopTwoSum,
     MixedColors,
-    NotACutpoint,
     NotRegular,
     UnknownEdge,
 )
-from reltutte.graph import _maximum_cliques, components, cutpoints, is_connected, single_vertex
+from reltutte.graph import _maximum_cliques, components, is_connected, single_vertex
 from reltutte.randgen import RandomInstanceSpec, derived_seed, random_graph
 
 # random corpora with loops, parallel edges and isolated vertices
@@ -114,7 +115,7 @@ def test_bridge_and_loop_predicates(triangle):
     assert all(not is_bridge(triangle, e) for e in triangle.edge_ids())
     par = G("edge p1 u v color=mu\nedge p2 u v color=mu")
     assert not is_bridge(par, "p1") and not is_bridge(par, "p2")
-    assert is_loop(G("edge l v v color=mu"), "l")
+    assert G("edge l v v color=mu").edge("l").is_loop
 
 
 def test_blocks_small_cases(triangle):
@@ -300,6 +301,13 @@ def test_color_discipline_enforced():
                 EdgeRecord("b", "1", "2", "mu", True, False),
             ]
         )
+
+
+def test_color_token_is_matched_whole():
+    assert EdgeRecord("e1", "a", "b", "mu_1").color == "mu_1"
+    for bad in ("mu\n", "m u"):
+        with pytest.raises(EngineError):
+            EdgeRecord("e1", "a", "b", bad)
 
 
 def test_contract_delete_counts_randomized():

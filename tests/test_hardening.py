@@ -3,15 +3,13 @@
 import random
 
 from conftest import G
-from oracles import colored_isomorphic, weight_polynomial
+from oracles import canonical_code, colored_isomorphic, terminal_graph, vertex_pivot, weight_polynomial
 from reltutte import (
     ColoredMultigraph,
     EdgeRecord,
     RelPolynomial,
-    canonical_code,
     pivot_class_key,
     universal_tutte_statesum,
-    vertex_pivot,
     z_symbol,
 )
 from reltutte.graph import blocks, block_code
@@ -24,7 +22,6 @@ from reltutte.randgen import (
 from reltutte.tutte import (
     canonical_labeling,
     enumerate_contracting_sets,
-    terminal_graph,
     activities,
 )
 
@@ -118,7 +115,7 @@ def test_statesum_assembled_from_activities_route():
 
 
 def test_pointed_status_matches_direct_inspection():
-    from reltutte.graph import is_bridge, is_loop
+    from reltutte.graph import is_bridge
     from reltutte.pointed import universal_with_pointed_zero
 
     for i in range(20):
@@ -130,7 +127,7 @@ def test_pointed_status_matches_direct_inspection():
             nu = [e for e in rep.edges if e.is_pointed]
             assert len(nu) == 1
             e = nu[0]
-            want = "loop" if is_loop(rep, e.id) else "bridge" if is_bridge(rep, e.id) else "inner"
+            want = "loop" if e.is_loop else "bridge" if is_bridge(rep, e.id) else "inner"
             assert key.pointed_status() == want
 
 

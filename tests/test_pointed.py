@@ -8,6 +8,7 @@ from oracles import (
     acyclic,
     cocycle_free,
     connected_multigraph_structures,
+    contracting_sets_by_type,
     iso_classes,
     patch_graph_family,
     reference_classify,
@@ -34,7 +35,6 @@ from reltutte.pointed import (
     TYPE_D,
     TYPE_ZERO,
     classify_pair,
-    contracting_sets_by_type,
     universal_with_pointed_zero,
 )
 from reltutte.randgen import derived_seed, random_pointed_graph

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G
-from oracles import ideal_generators
+from oracles import ideal_generators, specialize_psi
 from reltutte import (
     EMPTY_KEY,
     EvaluationPoint,
@@ -13,7 +13,6 @@ from reltutte import (
     equal_mod_ideal,
     evaluate,
     pivot_class_key,
-    specialize_psi,
     variable,
     z_symbol,
 )
@@ -43,10 +42,6 @@ def _random_poly(rng, n_terms=4, colors=("a", "b")):
 def polys(draw):
     rng = random.Random(draw(st.integers(0, 2**30)))
     return _random_poly(rng)
-
-
-def test_zero_exponent_variable_is_unit():
-    assert RelPolynomial.variable("x", "a", 0) == RelPolynomial.const(1)
 
 
 def test_additive_identity():
@@ -215,11 +210,14 @@ def test_sum_equals_chained_addition():
     # a monomial keeps its first key object until it cancels, then takes the next one
     other = pivot_class_key(G("edge k a b color=z0 zero"))
     assert other == BRIDGE_KEY and other.representative != BRIDGE_KEY.representative
-    for polys, rep in (
-        ([z_symbol(BRIDGE_KEY), z_symbol(other)], BRIDGE_KEY.representative),
-        ([z_symbol(BRIDGE_KEY), -z_symbol(other), z_symbol(other)], other.representative),
+    first, then = z_symbol(BRIDGE_KEY), z_symbol(other)
+    for total, rep in (
+        (RelPolynomial.sum([first, then]), BRIDGE_KEY.representative),
+        (first + then, BRIDGE_KEY.representative),
+        (RelPolynomial.sum([first, -then, then]), other.representative),
+        ((first - then) + then, other.representative),
     ):
-        ((_, (key,)),) = RelPolynomial.sum(polys)._terms
+        ((_, (key,)),) = total._terms
         assert key.representative == rep
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import G
+from oracles import contracting_sets_by_type
 from reltutte import (
     PointedGraph,
     RelPolynomial,
@@ -24,7 +25,7 @@ from reltutte import (
 )
 from reltutte.errors import InstanceInvalid, InvalidContractingSet, InvalidPartition, TypeMismatch
 from reltutte.graph import EMPTY_KEY
-from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, classify_pair, contracting_sets_by_type
+from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, classify_pair
 from reltutte.randgen import derived_seed, random_tensor_instance
 from reltutte.tensor import compose_contracting_set, induced_partition, product_labeling
 from reltutte.textio import format_graph
