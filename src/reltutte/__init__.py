@@ -17,14 +17,7 @@ from .graph import (
     recolor_subset,
     splice_all,
 )
-from .poly import (
-    EvaluationPoint,
-    RelPolynomial,
-    equal_mod_ideal,
-    evaluate,
-    variable,
-    z_symbol,
-)
+from .poly import RelPolynomial, equal_mod_ideal, variable, z_symbol
 from .pointed import (
     PointedGraph,
     PointedPolynomials,

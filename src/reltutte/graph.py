@@ -27,6 +27,8 @@ RECOLOR_ZERO = "lambda0"
 
 #: A color token, matched whole with ``fullmatch``.
 COLOR_RE = re.compile(r"[A-Za-z0-9_]+")
+#: An edge id or vertex name, matched whole with ``fullmatch``.
+ID_RE = re.compile(r"[A-Za-z0-9_.+~/'-]+")
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,9 @@ class EdgeRecord:
         object.__setattr__(self, "id", str(self.id))
         object.__setattr__(self, "u", str(self.u))
         object.__setattr__(self, "v", str(self.v))
+        for tok in (self.id, self.u, self.v):
+            if not ID_RE.fullmatch(tok):
+                raise EngineError(f"bad identifier {tok!r}")
         if not COLOR_RE.fullmatch(self.color):
             raise EngineError(f"bad color token {self.color!r}")
         if self.is_pointed and self.is_zero:

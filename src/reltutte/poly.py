@@ -6,7 +6,8 @@ are exact Python integers. Equality modulo the labeling-independence ideal is
 decided by randomized evaluation at points that annihilate the ideal by
 construction: sampling integers x, y per color plus two global scalars a, b
 and setting X = x + b*y, Y = y + a*x makes every generator of the ideal
-vanish identically.
+vanish identically. All trials of one check draw their points from one
+generator seeded with the check's seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping, Union
 
-from .errors import MissingKey
 from .graph import EMPTY_KEY, PivotClassKey
 
 VAR_KINDS = ("x", "X", "y", "Y")
@@ -87,16 +87,6 @@ class RelPolynomial:
     @staticmethod
     def const(c: int) -> "RelPolynomial":
         return RelPolynomial({((), ()): int(c)})
-
-    @staticmethod
-    def variable(kind: str, color: str) -> "RelPolynomial":
-        if kind not in VAR_KINDS:
-            raise ValueError(f"unknown variable kind {kind!r}")
-        return RelPolynomial({((((kind, color), 1),), ()): 1})
-
-    @staticmethod
-    def z_symbol(key: PivotClassKey) -> "RelPolynomial":
-        return RelPolynomial({((), (key,)): 1})
 
     @staticmethod
     def monomial(coeff: int, vars_: Iterable[tuple] = (), zkeys: Iterable[PivotClassKey] = ()) -> "RelPolynomial":
@@ -248,80 +238,16 @@ def _coerce(x) -> Union[RelPolynomial, type(NotImplemented)]:
 
 
 def variable(kind: str, color: str) -> RelPolynomial:
-    return RelPolynomial.variable(kind, color)
+    if kind not in VAR_KINDS:
+        raise ValueError(f"unknown variable kind {kind!r}")
+    return RelPolynomial({((((kind, color), 1),), ()): 1})
 
 
 def z_symbol(key: PivotClassKey) -> RelPolynomial:
-    return RelPolynomial.z_symbol(key)
+    return RelPolynomial({((), (key,)): 1})
 
 
-# -- evaluation -----------------------------------------------------------------------
-
-
-class EvaluationPoint:
-    """Numeric assignment that annihilates the ideal by construction.
-
-    Per color the point stores integers (x, y); the active weights derive as
-    X = x + beta*y and Y = y + alpha*x with two global scalars. z-symbols get
-    explicit values. A color or z-symbol the point does not hold raises
-    MissingKey.
-    """
-
-    def __init__(
-        self,
-        xy: Mapping[str, tuple[int, int]] | None = None,
-        alpha: int = 0,
-        beta: int = 0,
-        z_values: Mapping[PivotClassKey, int] | None = None,
-    ):
-        self._xy = dict(xy or {})
-        self.alpha = int(alpha)
-        self.beta = int(beta)
-        self._z = dict(z_values or {})
-
-    def var_value(self, kind: str, color: str) -> int:
-        try:
-            x, y = self._xy[color]
-        except KeyError:
-            raise MissingKey(f"no value for color {color!r}") from None
-        if kind == "x":
-            return x
-        if kind == "y":
-            return y
-        if kind == "X":
-            return x + self.beta * y
-        if kind == "Y":
-            return y + self.alpha * x
-        raise ValueError(f"unknown variable kind {kind!r}")
-
-    def z_value(self, key: PivotClassKey) -> int:
-        try:
-            return self._z[key]
-        except KeyError:
-            raise MissingKey(f"no value for {key.render()}") from None
-
-    @staticmethod
-    def random(colors: Iterable[str], keys: Iterable[PivotClassKey], bound: int, rng: random.Random) -> "EvaluationPoint":
-        xy = {c: (rng.randint(-bound, bound), rng.randint(-bound, bound)) for c in sorted(colors)}
-        zv = {k: rng.randint(2, bound) for k in sorted(keys, key=lambda k: k.codes)}
-        return EvaluationPoint(
-            xy=xy,
-            alpha=rng.randint(-bound, bound),
-            beta=rng.randint(-bound, bound),
-            z_values=zv,
-        )
-
-
-def evaluate(p: RelPolynomial, pt: EvaluationPoint) -> int:
-    total = 0
-    for (vars_, zs), coeff in p._terms.items():
-        val = coeff
-        for (kind, color), exp in vars_:
-            val *= pt.var_value(kind, color) ** exp
-        for key in zs:
-            val *= pt.z_value(key)
-        total += val
-    return total
+# -- equality modulo the labeling ideal -------------------------------------------------
 
 
 def equal_mod_ideal(
@@ -335,6 +261,12 @@ def equal_mod_ideal(
     Sound per trial (ideal members vanish at every sampled point); a nonzero
     difference is detected with high probability since coordinates range over
     an interval wider than the total degree.
+
+    The difference is compiled once into rows ``(coeff, slots)`` over a flat
+    value list, x, X, y, Y for each sorted color and then one value per sorted
+    z-key; a slot appears in ``slots`` once per unit of its exponent. All
+    trials draw from one generator seeded with ``seed``: per trial the scalars
+    a and b, then x and y per color, then the z values.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -344,9 +276,27 @@ def equal_mod_ideal(
     bound = 10 * (1 + max(p.max_total_degree(), q.max_total_degree()))
     colors = sorted(diff.colors())
     keys = sorted(diff.zkeys(), key=lambda k: k.codes)
-    for t in range(trials):
-        rng = random.Random(seed * 1_000_003 + t)
-        pt = EvaluationPoint.random(colors, keys, bound, rng)
-        if evaluate(diff, pt) != 0:
+    slot = {(kind, c): 4 * i + _KIND_RANK[kind] for i, c in enumerate(colors) for kind in VAR_KINDS}
+    zslot = {k: 4 * len(colors) + j for j, k in enumerate(keys)}
+    rows = [
+        (coeff, [slot[var] for var, exp in vars_ for _ in range(exp)] + [zslot[k] for k in zs])
+        for (vars_, zs), coeff in diff._terms.items()
+    ]
+    randint = random.Random(seed).randint
+    for _ in range(trials):
+        a = randint(-bound, bound)
+        b = randint(-bound, bound)
+        vals = []
+        for _ in colors:
+            x = randint(-bound, bound)
+            y = randint(-bound, bound)
+            vals += (x, x + b * y, y, y + a * x)
+        vals += [randint(2, bound) for _ in keys]
+        total = 0
+        for val, slots in rows:
+            for s in slots:
+                val *= vals[s]
+            total += val
+        if total:
             return False
     return True

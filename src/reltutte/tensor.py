@@ -42,7 +42,7 @@ from .graph import (
     recolor_subset,
     splice_all,
 )
-from .poly import RelPolynomial, equal_mod_ideal
+from .poly import RelPolynomial, equal_mod_ideal, z_symbol
 from .pointed import (
     TYPE_C,
     TYPE_D,
@@ -294,7 +294,7 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
                 patch = key_j.representative
                 glued = _glue_along_edge(glued, eid, patch, patch.pointed_edge().id, f"{eid}.", flip=flip)
                 weight = weight * pj
-            out.append(weight * RelPolynomial.z_symbol(pivot_class_key(glued)))
+            out.append(weight * z_symbol(pivot_class_key(glued)))
     return RelPolynomial.sum(out)
 
 

@@ -10,17 +10,13 @@ be pointed, and a pointed edge cannot be a zero edge.
 
 from __future__ import annotations
 
-import re
-
 from .errors import (
     DuplicateEdgeId,
     ParseError,
     PointedZeroConflict,
     TwoPointedEdges,
 )
-from .graph import COLOR_RE, POINTED_COLOR, RECOLOR_ZERO, ColoredMultigraph, EdgeRecord
-
-_ID_RE = re.compile(r"^[A-Za-z0-9_.+~/'-]+$")
+from .graph import COLOR_RE, ID_RE, POINTED_COLOR, RECOLOR_ZERO, ColoredMultigraph, EdgeRecord
 
 
 def parse_graph_text(text: str, source: str = "<string>") -> ColoredMultigraph:
@@ -40,7 +36,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> ColoredMultigraph:
             raise ParseError(f"{loc}: expected 'edge <id> <u> <v> color=<token> [zero] [pointed]'")
         eid, u, v = toks[1], toks[2], toks[3]
         for tok in (eid, u, v):
-            if not _ID_RE.match(tok):
+            if not ID_RE.fullmatch(tok):
                 raise ParseError(f"{loc}: bad identifier {tok!r}")
         if not toks[4].startswith("color="):
             raise ParseError(f"{loc}: expected color=<token>, got {toks[4]!r}")

@@ -2,19 +2,24 @@
 test instruments that the library itself never calls.
 
 The oracles recompute from first principles: subset enumeration, small
-determinants over exact fractions, and brute-force bijections. These stay
-deliberately dumb so they can arbitrate against the engine. The instruments
-(vertex pivots, psi-specialisation, terminal graphs, contracting sets by
-type and canonical graph codes) state the paper's invariants in tests.
+determinants over exact fractions, brute-force bijections, and ideal
+membership by a Groebner basis (sympy). These stay deliberately dumb so they
+can arbitrate against the engine. The instruments (vertex pivots,
+psi-specialisation, terminal graphs, contracting sets by type, canonical graph
+codes and evaluation points) state the paper's invariants in tests.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable
+import sympy
+
+from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable, z_symbol
 from reltutte.errors import EngineError, InvalidContractingSet, LoopTwoSum, MissingKey, NotLinearInZ
 from reltutte.graph import (
     RECOLOR_ZERO,
@@ -551,16 +556,16 @@ def reference_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> 
     """Deletion-contraction on the regular edge of largest id, one rebuilt minor per node."""
     regular = g.regular_ids(pointed_as_zero)
     if not regular:
-        return RelPolynomial.z_symbol(pivot_class_key(g))
+        return z_symbol(pivot_class_key(g))
     eid = max(regular)
     e = g.edge(eid)
     if e.is_loop:
-        return RelPolynomial.variable("Y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
+        return variable("Y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
     if is_bridge(g, eid):
-        return RelPolynomial.variable("X", e.color) * reference_recursive(contract(g, eid), pointed_as_zero)
-    return RelPolynomial.variable("x", e.color) * reference_recursive(
+        return variable("X", e.color) * reference_recursive(contract(g, eid), pointed_as_zero)
+    return variable("x", e.color) * reference_recursive(
         contract(g, eid), pointed_as_zero
-    ) + RelPolynomial.variable("y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
+    ) + variable("y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
 
 
 # -- psi-specialisation ------------------------------------------------------------------
@@ -804,7 +809,7 @@ def weight_polynomial(acts: Mapping[str, Activity], g: ColoredMultigraph) -> Rel
     """Product of per-edge activity weights."""
     out = RelPolynomial.const(1)
     for eid, act in acts.items():
-        out = out * RelPolynomial.variable(_WEIGHT_KIND[act], g.edge(eid).color)
+        out = out * variable(_WEIGHT_KIND[act], g.edge(eid).color)
     return out
 
 
@@ -839,6 +844,122 @@ def ideal_generators(lam: str, mu: str) -> tuple[RelPolynomial, RelPolynomial]:
     gen_a = (cx_l * y_m - cx_m * y_l) - (x_l * cy_m - x_m * cy_l)
     gen_b = (x_l * cy_m - x_m * cy_l) - (x_l * y_m - x_m * y_l)
     return gen_a, gen_b
+
+
+# -- equality modulo the labeling ideal, by evaluation and by reduction ---------------------
+
+
+class EvaluationPoint:
+    """Numeric assignment that annihilates the ideal by construction.
+
+    Per color the point stores integers (x, y); the active weights derive as
+    X = x + beta*y and Y = y + alpha*x with two global scalars. z-symbols get
+    explicit values. A color or z-symbol the point does not hold raises
+    MissingKey.
+    """
+
+    def __init__(
+        self,
+        xy: Mapping[str, tuple[int, int]] | None = None,
+        alpha: int = 0,
+        beta: int = 0,
+        z_values: Mapping[PivotClassKey, int] | None = None,
+    ):
+        self._xy = dict(xy or {})
+        self.alpha = int(alpha)
+        self.beta = int(beta)
+        self._z = dict(z_values or {})
+
+    def var_value(self, kind: str, color: str) -> int:
+        try:
+            x, y = self._xy[color]
+        except KeyError:
+            raise MissingKey(f"no value for color {color!r}") from None
+        if kind == "x":
+            return x
+        if kind == "y":
+            return y
+        if kind == "X":
+            return x + self.beta * y
+        if kind == "Y":
+            return y + self.alpha * x
+        raise ValueError(f"unknown variable kind {kind!r}")
+
+    def z_value(self, key: PivotClassKey) -> int:
+        try:
+            return self._z[key]
+        except KeyError:
+            raise MissingKey(f"no value for {key.render()}") from None
+
+    @staticmethod
+    def random(colors: Iterable[str], keys: Iterable[PivotClassKey], bound: int, rng: random.Random) -> "EvaluationPoint":
+        """Draw alpha and beta, then (x, y) per sorted color, then z per sorted key."""
+        alpha = rng.randint(-bound, bound)
+        beta = rng.randint(-bound, bound)
+        xy = {c: (rng.randint(-bound, bound), rng.randint(-bound, bound)) for c in sorted(colors)}
+        zv = {k: rng.randint(2, bound) for k in sorted(keys, key=lambda k: k.codes)}
+        return EvaluationPoint(xy=xy, alpha=alpha, beta=beta, z_values=zv)
+
+
+def evaluate(p: RelPolynomial, pt: EvaluationPoint) -> int:
+    total = 0
+    for (vars_, zs), coeff in p._terms.items():
+        val = coeff
+        for (kind, color), exp in vars_:
+            val *= pt.var_value(kind, color) ** exp
+        for key in zs:
+            val *= pt.z_value(key)
+        total += val
+    return total
+
+
+def reference_equal_mod_ideal(p: RelPolynomial, q: RelPolynomial, trials: int = 32, seed: int = 0) -> bool:
+    """``equal_mod_ideal`` at the same points, one ``EvaluationPoint`` per trial."""
+    diff = p - q
+    if diff.is_zero:
+        return True
+    bound = 10 * (1 + max(p.max_total_degree(), q.max_total_degree()))
+    rng = random.Random(seed)
+    for _ in range(trials):
+        if evaluate(diff, EvaluationPoint.random(diff.colors(), diff.zkeys(), bound, rng)) != 0:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _labeling_ideal(colors: tuple[str, ...]):
+    """Symbols per (kind, color) and a Groebner basis of every color pair's generators."""
+    syms = {(kind, c): sympy.Symbol(f"{kind}_{c}") for c in colors for kind in ("x", "X", "y", "Y")}
+    gens = [_to_sympy(g, syms) for lam, mu in combinations(colors, 2) for g in ideal_generators(lam, mu)]
+    return syms, (sympy.groebner(gens, *syms.values(), order="grevlex") if gens else None)
+
+
+def _to_sympy(p: RelPolynomial, syms: dict):
+    out = sympy.Integer(0)
+    for (vars_, _zs), coeff in p._terms.items():
+        term = coeff
+        for var, exp in vars_:
+            term *= syms[var] ** exp
+        out += term
+    return out
+
+
+def reference_in_ideal(p: RelPolynomial, q: RelPolynomial) -> bool:
+    """Whether p - q lies in the labeling ideal of the colors of p and q.
+
+    The ideal has no z-symbol in its generators, so p - q lies in it exactly
+    when each z-key's coefficient polynomial does; each is reduced by a
+    Groebner basis of ``ideal_generators`` over all pairs of colors.
+    """
+    by_key: dict[tuple, dict] = {}
+    for (vars_, zs), coeff in (p - q)._terms.items():
+        by_key.setdefault(zs, {})[(vars_, ())] = coeff
+    syms, basis = _labeling_ideal(tuple(sorted(p.colors() | q.colors())))
+    for terms in by_key.values():
+        expr = _to_sympy(RelPolynomial(terms), syms)
+        if basis is None or not basis.contains(expr):
+            return False
+    return True
 
 
 def two_sum(

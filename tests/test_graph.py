@@ -310,6 +310,14 @@ def test_color_token_is_matched_whole():
             EdgeRecord("e1", "a", "b", bad)
 
 
+def test_edge_ids_and_vertex_names_are_matched_whole():
+    assert EdgeRecord("f/e1", "e1.a", "b~1", "mu").id == "f/e1"
+    for bad in ("a b", "a\n", "", "a#b", "a=b"):
+        for args in ((bad, "a", "c"), ("e1", bad, "c"), ("e1", "a", bad)):
+            with pytest.raises(EngineError):
+                EdgeRecord(*args, "mu")
+
+
 def test_contract_delete_counts_randomized():
     for i in range(30):
         rng = random.Random(derived_seed(13, i))

@@ -5,17 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G
-from oracles import ideal_generators, specialize_psi
+from oracles import (
+    EvaluationPoint,
+    evaluate,
+    ideal_generators,
+    reference_equal_mod_ideal,
+    reference_in_ideal,
+    specialize_psi,
+)
 from reltutte import (
     EMPTY_KEY,
-    EvaluationPoint,
     RelPolynomial,
     equal_mod_ideal,
-    evaluate,
     pivot_class_key,
+    universal_tutte_statesum,
     variable,
     z_symbol,
 )
+from reltutte.randgen import derived_seed, random_graph_with_zero_edges, random_proper_labeling
 from reltutte.errors import MissingKey, NotLinearInZ
 from reltutte.poly import monomial_key
 
@@ -153,6 +160,57 @@ def test_equal_mod_ideal_absorbs_generators():
             p = _random_poly(rng)
             assert equal_mod_ideal(p, p + gen, trials=16, seed=7)
             assert equal_mod_ideal(p, p + z_symbol(CYCLE_KEY) * gen, trials=16, seed=7)
+
+
+def _negative_controls():
+    """Pairs whose difference lies outside the ideal."""
+    det = variable("X", "mu") * variable("y", "rho") - variable("x", "mu") * variable("Y", "rho")
+    yield det, RelPolynomial.zero()
+    rng = random.Random(8)
+    for _ in range(20):
+        p = _random_poly(rng)
+        yield p, p + 1
+
+
+def test_compiled_evaluation_matches_reference():
+    rng = random.Random(61)
+    pairs = [(_random_poly(rng, colors=("a", "b", "c")), _random_poly(rng, colors=("a", "b", "c"))) for _ in range(150)]
+    for lam, mu in (("a", "b"), ("b", "a"), ("a", "c")):
+        for gen in ideal_generators(lam, mu):
+            p = _random_poly(rng)
+            for q in (p + gen, p + z_symbol(CYCLE_KEY) * gen):
+                assert equal_mod_ideal(p, q, trials=16, seed=7)
+                pairs.append((p, q))
+    for p, q in _negative_controls():
+        assert not equal_mod_ideal(p, q, trials=32, seed=3)
+        pairs.append((p, q))
+    for i, (p, q) in enumerate(pairs):
+        for trials in (1, 32):
+            assert equal_mod_ideal(p, q, trials, i) == reference_equal_mod_ideal(p, q, trials, i)
+
+
+def test_exact_ideal_membership_agrees_with_evaluation(monkeypatch):
+    import reltutte.suite as suite
+
+    calls = []
+
+    def spy(p, q, trials, seed):
+        verdict = equal_mod_ideal(p, q, trials=trials, seed=seed)
+        calls.append((p, q, verdict))
+        return verdict
+
+    monkeypatch.setattr(suite, "equal_mod_ideal", spy)
+    for check in (suite.check_labeling_independence, suite.check_pointed_identities):
+        calls.clear()
+        for index in range(200):
+            assert check(403, index)[0]
+        # the mod-ideal step decides only these; every other call is equal term by term
+        nonzero = [(p, q, verdict) for p, q, verdict in calls if not (p - q).is_zero]
+        assert 0 < len(nonzero) < len(calls)
+        for p, q, verdict in nonzero:
+            assert verdict and reference_in_ideal(p, q)
+    for p, q in _negative_controls():
+        assert not reference_in_ideal(p, q) and not equal_mod_ideal(p, q, trials=32, seed=3)
 
 
 def test_soundness_gauge():

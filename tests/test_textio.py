@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from conftest import G
-from reltutte import format_graph, parse_graph_text
+from reltutte import EdgeRecord, format_graph, parse_graph_text, tensor_product
+from reltutte.errors import EngineError
+from reltutte.randgen import derived_seed, random_graph_with_zero_edges, random_pointed_graph, random_tensor_instance
 from reltutte.errors import (
     DuplicateEdgeId,
     ParseError,
@@ -68,3 +72,17 @@ def test_round_trip_identity():
         """
     )
     assert parse_graph_text(format_graph(g, header="round trip")) == g
+
+
+def test_format_then_parse_round_trips_seeded_graphs():
+    for i in range(60):
+        rng = random.Random(derived_seed(71, i))
+        ti = random_tensor_instance(rng)
+        for g in (random_graph_with_zero_edges(rng), random_pointed_graph(rng).graph, ti.g1, tensor_product(ti)):
+            assert parse_graph_text(format_graph(g)) == g
+
+
+def test_unwritable_edge_record_is_refused():
+    # unchecked, it would build and format_graph would write "edge e1 a b c color=mu"
+    with pytest.raises(EngineError):
+        EdgeRecord("e1", "a b", "c", "mu")
