@@ -43,6 +43,8 @@ def monomial_key(vars_: Iterable[tuple], zkeys: Iterable[PivotClassKey]) -> Mono
     """Canonical monomial key from raw ((kind, color), exp) items and z keys."""
     acc: dict = {}
     for (kind, color), exp in vars_:
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} of {kind}[{color}]")
         acc[(kind, color)] = acc.get((kind, color), 0) + exp
     vt = tuple(sorted(((k, v) for k, v in acc.items() if v), key=_var_rank))
     return (vt, _merge_zkeys(zkeys))

@@ -213,6 +213,14 @@ def test_exact_ideal_membership_agrees_with_evaluation(monkeypatch):
         assert not reference_in_ideal(p, q) and not equal_mod_ideal(p, q, trials=32, seed=3)
 
 
+def test_negative_exponent_is_refused():
+    # the compiled evaluation repeats a slot once per unit of its exponent, so x^-1 would count as 1
+    with pytest.raises(ValueError):
+        RelPolynomial.monomial(1, [(("x", "a"), -1)])
+    with pytest.raises(ValueError):
+        monomial_key([(("x", "a"), 2), (("x", "a"), -1)], ())
+
+
 def test_soundness_gauge():
     # randomized, not a proof: perturbing by one extra monomial must be detected
     rng = random.Random(2024)
