@@ -18,11 +18,9 @@ from reltutte import (
     RelPolynomial,
     equal_mod_ideal,
     pivot_class_key,
-    universal_tutte_statesum,
     variable,
     z_symbol,
 )
-from reltutte.randgen import derived_seed, random_graph_with_zero_edges, random_proper_labeling
 from reltutte.errors import MissingKey, NotLinearInZ
 from reltutte.poly import monomial_key
 
@@ -211,6 +209,17 @@ def test_exact_ideal_membership_agrees_with_evaluation(monkeypatch):
             assert verdict and reference_in_ideal(p, q)
     for p, q in _negative_controls():
         assert not reference_in_ideal(p, q) and not equal_mod_ideal(p, q, trials=32, seed=3)
+
+
+def test_trials_draw_from_one_generator_in_documented_order():
+    # per trial: alpha, beta, then x and y per sorted color, from integers in [-bound, bound]
+    # with bound = 10 * (1 + degree) = 20; so trial 0 alone takes these values
+    draw = random.Random(5).randint
+    alpha, beta, x, y = (draw(-20, 20) for _ in range(4))
+    for kind, value in (("x", x), ("X", x + beta * y), ("y", y), ("Y", y + alpha * x)):
+        const = RelPolynomial.const(value)
+        assert equal_mod_ideal(variable(kind, "a"), const, trials=1, seed=5)
+        assert not equal_mod_ideal(variable(kind, "a"), const, trials=32, seed=5)
 
 
 def test_negative_exponent_is_refused():
