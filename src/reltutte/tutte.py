@@ -13,7 +13,9 @@ named by its least vertex as ``contract`` names it; ``_moves`` reads a node's
 branches off it. Enumeration and activities follow the walk node by node
 (``_walk``). The state sum counts the leaves level by level: equal partitions
 have equal subtrees and merge. Each weight keeps its least branch path, which
-orders like the walk's leaves.
+orders like the walk's leaves. The recursion checks the state sum on its own
+union-find, top down: it carries each path's packed weight down the stack,
+undoes contractions through a trail of merged roots, and counts one per leaf.
 """
 
 from __future__ import annotations
@@ -261,50 +263,53 @@ def universal_tutte_statesum(
 
 
 def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelPolynomial:
-    """Deletion-contraction on the regular edge of largest id: T = x·T(G/e) + y·T(G−e),
-    X·T(G/e) for a bridge, Y·T(G−e) for a loop. A minor is a union-find of the
-    vertices rooted at each block's least one, as ``contract`` names it, so
-    contracting sets one parent, undone on return. Its polynomial is a {(weight, z-key):
-    coefficient} dict, packed as in the state sum and made one polynomial at the end; each
-    partition's terminal graph is built once. Matches the state sum under the canonical labeling
-    term by term. The stack is explicit: ("visit", i) pushes the minor's dict onto ``done``, and
-    (kind, i, b) undoes edge i and adds its variable's unit to the weights."""
+    """Deletion-contraction on the regular edge of largest id, top down: T = x·T(G/e) + y·T(G−e),
+    X·T(G/e) for a bridge, Y·T(G−e) for a loop. A minor is a union-find of the vertices rooted at
+    each block's least one, as ``contract`` names it, so contracting sets one parent and pushes its
+    root on a trail. A stack entry (i, w, t) is the minor at edge i, reached with the packed weight w
+    (as in the state sum) and a trail of length t: popping it rolls the trail back to t, and a child
+    carries its edge's unit in its weight. A leaf adds one count to its (partition, weight); each
+    partition's terminal graph is built once, and the counts merge by (weight, z-key) in leaf order.
+    Matches the state sum under the canonical labeling term by term."""
     order, names, zero, ends = _frame(g, canonical_labeling(g, pointed_as_zero), pointed_as_zero)
-    (unit, monomial), parent, leaves, done = _packing(order), list(range(len(names))), {}, []
+    (unit, monomial), parent, trail, k = _packing(order), list(range(len(names))), [], len(order)
+    high, index, keys, counts = (k + 1) ** len(unit), {}, [], {}  # high exceeds every packed weight
 
     def find(v, up):
         while up[v] != v:
             v = up[v]
         return v
 
-    tasks = [("visit", 0, 0)]
-    while tasks:
-        task, i, b = tasks.pop()
-        if task != "visit":
-            parent[b] = b  # a no-op unless edge i was contracted
-            step = unit[task, order[i].color]
-            terms = {(w + step, key): n for (w, key), n in done.pop().items()}
-            if task == "y":  # the deleted terms follow the contracted ones
-                out = done[-1]
-                for m, n in terms.items():
-                    out[m] = out.get(m, 0) + n
-            else:
-                done.append(terms)
-            if task == "x":  # the contraction is done: now the deletion
-                tasks += [("y", i, b), ("visit", i + 1, b)]
-        elif i == len(order):
+    stack = [(0, 0, 0)]
+    while stack:
+        i, w, t = stack.pop()
+        while len(trail) > t:  # undo the contractions below the popped minor
+            b = trail.pop()
+            parent[b] = b
+        if i == k:
             part = tuple(find(v, parent) for v in range(len(names)))
-            if part not in leaves:
-                leaves[part] = {(0, pivot_class_key(_terminal_minor(part, names, zero, ends[i:]))): 1}
-            done.append(leaves[part])
-        else:
-            a, b = sorted(find(v, parent) for v in ends[i])
-            task = "Y"
-            if a != b:
-                rest = parent[:]  # the blocks, joined by the edges after i
-                for u, v in ends[i + 1 :]:
-                    rest[find(u, rest)] = find(v, rest)
-                parent[b] = a
-                task = "X" if find(a, rest) != find(b, rest) else "x"
-            tasks += [(task, i, b), ("visit", i + 1, b)]
-    return RelPolynomial({monomial(w, key): n for (w, key), n in done[0].items()})
+            if part not in index:
+                index[part] = len(keys)
+                keys.append(pivot_class_key(_terminal_minor(part, names, zero, ends[k:])))
+            leaf = index[part] * high + w
+            counts[leaf] = counts.get(leaf, 0) + 1
+            continue
+        a, b = sorted(find(v, parent) for v in ends[i])
+        color = order[i].color
+        if a == b:
+            stack.append((i + 1, w + unit["Y", color], t))
+            continue
+        rest = parent[:]  # the blocks, joined by the edges after i
+        for u, v in ends[i + 1 :]:
+            rest[find(u, rest)] = find(v, rest)
+        parent[b] = a
+        trail.append(b)
+        if find(a, rest) != find(b, rest):
+            stack.append((i + 1, w + unit["X", color], t + 1))
+        else:  # contracted first, then deleted
+            stack += [(i + 1, w + unit["y", color], t), (i + 1, w + unit["x", color], t + 1)]
+    terms: dict = {}  # the first leaf of a (weight, z-key) keeps its place and its key object
+    for leaf, n in counts.items():
+        term = leaf % high, keys[leaf // high]
+        terms[term] = terms.get(term, 0) + n
+    return RelPolynomial({monomial(w, key): n for (w, key), n in terms.items()})

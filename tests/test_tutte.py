@@ -344,6 +344,35 @@ def test_recursion_matches_rebuilt_minor_reference_edge_cases():
         _assert_same_terms(tutte_recursive(g), reference_recursive(g))
 
 
+def _deep_graphs():
+    """Graphs of 15-17 edges, so the recursion's trail is undone from deep down."""
+    wheel = [(0, i, "mu") for i in range(1, 9)] + [(i, i % 8 + 1, "z0 zero" if i == 1 else "rho") for i in range(1, 9)]
+    k6 = [(u, v, "z0 zero" if (u, v) == (0, 1) else ("mu", "rho")[(u + v) % 2]) for u in range(6) for v in range(u + 1, 6)]
+    grid = [(v, v + 1, "mu") for v in range(12) if v % 4 < 3] + [(v, v + 4, "rho") for v in range(8)]
+    grid = [(u, v, "z0 zero" if k in (0, 5, 11) else c) for k, (u, v, c) in enumerate(grid)]
+    return [G("".join(f"edge e{k:02d} {u} {v} color={c}\n" for k, (u, v, c) in enumerate(es))) for es in (wheel, k6, grid)]
+
+
+def test_recursion_matches_statesum_on_deep_trails():
+    for g, edges, zero in zip(_deep_graphs(), (16, 15, 17), (1, 1, 3), strict=True):
+        assert (len(g.edges), len(g.zero_ids())) == (edges, zero)
+        _assert_same_terms(tutte_recursive(g), universal_tutte_statesum(g))
+
+
+def test_recursion_counts_one_per_leaf():
+    cases = []
+    for i in range(60):
+        rng = random.Random(derived_seed(38, i))
+        cases.append((random_graph_with_zero_edges(rng, max_edges=9), False))
+    for i in range(60):
+        rng = random.Random(derived_seed(39, i))
+        cases.append((random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph, True))
+    assert sum(bool(g.zero_ids()) for g, _ in cases) > 60
+    for g, pointed in cases:
+        leaves = sum(1 for _ in enumerate_contracting_sets(g, pointed_as_zero=pointed))
+        assert sum(c for _, c in tutte_recursive(g, pointed_as_zero=pointed).terms()) == leaves
+
+
 @pytest.mark.parametrize(
     "text, want",
     [
