@@ -42,10 +42,8 @@ from .tensor import (
 )
 from .textio import format_graph, parse_graph_file, parse_graph_text
 from .tutte import (
-    Activity,
     ContractingSet,
     ProperLabeling,
-    activities,
     canonical_labeling,
     enumerate_contracting_sets,
     tutte_recursive,

@@ -56,10 +56,6 @@ class NotLinearInZ(EngineError):
     pass
 
 
-class MissingKey(EngineError):
-    pass
-
-
 # -- pointed graphs ------------------------------------------------------------
 
 class NoPointedEdge(EngineError):

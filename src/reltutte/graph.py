@@ -61,9 +61,6 @@ class EdgeRecord:
     def endpoints(self) -> tuple[str, str]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
-    def other_end(self, w: str) -> str:
-        return self.v if w == self.u else self.u
-
 
 class ColoredMultigraph:
     """Immutable colored multigraph with stable edge ids."""
@@ -104,10 +101,6 @@ class ColoredMultigraph:
             raise ColorClash(f"colors used both as zero and regular: {sorted(clash)}")
 
     # -- accessors ------------------------------------------------------------
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self._vertices))
 
     @property
     def vertex_set(self) -> frozenset:
@@ -559,12 +552,9 @@ class PivotClassKey:
     codes: tuple[str, ...]
     representative: ColoredMultigraph = field(compare=False, hash=False)
 
-    def pointed_edge_count(self) -> int:
-        return sum(1 for e in self.representative.edges if e.is_pointed)
-
     def pointed_status(self) -> Optional[str]:
         """'bridge', 'loop' or 'inner' when exactly one pointed edge exists."""
-        if self.pointed_edge_count() != 1:
+        if sum(e.is_pointed for e in self.representative.edges) != 1:
             return None
         if f"bridge({POINTED_COLOR})" in self.codes:
             return "bridge"

@@ -118,7 +118,7 @@ def pi_contract(p: RelPolynomial) -> RelPolynomial:
     """Contract the unique pointed edge inside each class; drop loop classes."""
 
     def act(key: PivotClassKey):
-        if key.pointed_edge_count() != 1 or key.pointed_status() == "loop":
+        if key.pointed_status() in (None, "loop"):
             return None
         return pivot_class_key(contract(key.representative, key.representative.pointed_edge().id))
 
@@ -129,7 +129,7 @@ def pi_delete(p: RelPolynomial) -> RelPolynomial:
     """Delete the unique pointed edge inside each class; drop bridge classes."""
 
     def act(key: PivotClassKey):
-        if key.pointed_edge_count() != 1 or key.pointed_status() == "bridge":
+        if key.pointed_status() in (None, "bridge"):
             return None
         return pivot_class_key(delete(key.representative, key.representative.pointed_edge().id))
 

@@ -325,17 +325,7 @@ class VerifyReport:
     structural_equal: bool
     lhs: RelPolynomial
     rhs: RelPolynomial
-    trials: int
-    seed: int
     elapsed: float
-
-    @property
-    def lhs_text(self) -> str:
-        return self.lhs.render()
-
-    @property
-    def rhs_text(self) -> str:
-        return self.rhs.render()
 
 
 def verify_tensor_formula(
@@ -364,7 +354,5 @@ def verify_tensor_formula(
         structural_equal=structural,
         lhs=lhs,
         rhs=rhs,
-        trials=trials,
-        seed=seed,
         elapsed=time.perf_counter() - t_start,
     )

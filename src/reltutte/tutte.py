@@ -10,34 +10,23 @@ graph is the terminal graph whose pivot class indexes the z-symbol.
 
 A node's minor is the vertex partition its contractions induce, each block
 named by its least vertex as ``contract`` names it; ``_moves`` reads a node's
-branches off it. Enumeration and activities follow the walk node by node
-(``_walk``). The state sum counts the leaves level by level: equal partitions
-have equal subtrees and merge. Each weight keeps its least branch path, which
-orders like the walk's leaves. The recursion checks the state sum on its own
-union-find, top down: it carries each path's packed weight down the stack,
-undoes contractions through a trail of merged roots, and counts one per leaf.
+branches off it, each tagged with its weight letter. Enumeration follows the
+walk node by node. The state sum counts the leaves level by level: equal
+partitions have equal subtrees and merge. Each weight keeps its least branch
+path, which orders like the walk's leaves. The recursion checks the state sum
+on its own union-find, top down: it carries each path's packed weight down the
+stack, undoes contractions through a trail of merged roots, and counts one per
+leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .errors import ImproperLabeling, InvalidContractingSet, InvariantBreach, NotRegular
+from .errors import ImproperLabeling, InvalidContractingSet, NotRegular
 from .graph import RECOLOR_ZERO, ColoredMultigraph, EdgeRecord, pivot_class_key, union_find
 from .poly import RelPolynomial, monomial_key
-
-
-class Activity(Enum):
-    IA = "internally-active"
-    II = "internally-inactive"
-    EA = "externally-active"
-    EI = "externally-inactive"
-
-
-_WEIGHT_KIND = {Activity.IA: "X", Activity.II: "x", Activity.EA: "Y", Activity.EI: "y"}
-_CONTRACTED = frozenset({Activity.IA, Activity.II})
 
 
 @dataclass(frozen=True)
@@ -100,42 +89,20 @@ def _packing(order: list[EdgeRecord]) -> tuple[dict, Callable]:
 
 def _moves(part: tuple, i: int, ends: list, demoted: tuple = ()) -> tuple:
     """The walk's branches at edge i of a partition's minor, as (next
-    partition, activity) pairs: a loop is deleted (EA), a bridge contracted
-    (IA), and any other edge contracted (II), then deleted (EI). The minor
-    keeps the later edges and the earlier edges of index ``demoted``."""
+    partition, weight letter) pairs: a loop is deleted (Y), a bridge
+    contracted (X), and any other edge contracted (x), then deleted (y). The
+    minor keeps the later edges and the earlier edges of index ``demoted``."""
     a, b = ends[i]
     lo, hi = sorted((part[a], part[b]))
     if lo == hi:
-        return ((part, Activity.EA),)
+        return ((part, "Y"),)
     merged = tuple(lo if r == hi else r for r in part)
     later = ends[i + 1 :]
     if demoted:
         later += [ends[j] for j in demoted]
     if not _joined(part, a, b, later):
-        return ((merged, Activity.IA),)
-    return ((merged, Activity.II), (part, Activity.EI))
-
-
-def _walk(order: list[EdgeRecord], ends: list, n: int, contracting: Optional[frozenset] = None):
-    """The deletion-contraction walk over the regular edges ``order``, on
-    partitions of the n vertex indices. Yields one (steps, partition) pair per
-    leaf: steps are the (edge id, activity) pairs taken, live, so they change
-    after the next leaf. With ``contracting``, only the branch that contracts
-    exactly those edges is followed. The stack is explicit, so no path
-    length meets the interpreter's recursion limit."""
-    steps: list[tuple[str, Activity]] = []
-    stack = [(0, None, tuple(range(n)))]
-    while stack:
-        i, step, part = stack.pop()
-        if i:
-            steps[i - 1 :] = [step]
-        if i == len(order):
-            yield steps, part
-            continue
-        eid = order[i].id
-        for target, act in reversed(_moves(part, i, ends)):
-            if contracting is None or (act in _CONTRACTED) == (eid in contracting):
-                stack.append((i + 1, (eid, act), target))
+        return ((merged, "X"),)
+    return ((merged, "x"), (part, "y"))
 
 
 def enumerate_contracting_sets(
@@ -143,11 +110,25 @@ def enumerate_contracting_sets(
     lab: Optional[ProperLabeling] = None,
     pointed_as_zero: bool = False,
 ) -> Iterator[ContractingSet]:
-    """All contracting sets, each exactly once, in contract-first branch order."""
+    """All contracting sets, each exactly once, in contract-first branch order.
+
+    Walks the partitions of the vertex indices, keeping the (edge id,
+    contracted) pairs of the current path. The stack is explicit, so no path
+    length meets the interpreter's recursion limit."""
     order, names, _, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
-    for steps, _ in _walk(order, ends, len(names)):
-        c = frozenset(eid for eid, act in steps if act in _CONTRACTED)
-        yield ContractingSet(c, frozenset(eid for eid, _ in steps) - c)
+    steps: list[tuple[str, bool]] = []
+    stack = [(0, None, tuple(range(len(names))))]
+    while stack:
+        i, step, part = stack.pop()
+        if i:
+            steps[i - 1 :] = [step]
+        if i == len(order):
+            c = frozenset(eid for eid, contracted in steps if contracted)
+            yield ContractingSet(c, frozenset(eid for eid, _ in steps) - c)
+            continue
+        eid = order[i].id
+        for target, kind in reversed(_moves(part, i, ends)):
+            stack.append((i + 1, (eid, kind in "Xx"), target))
 
 
 def validate_contracting_set(
@@ -166,20 +147,6 @@ def validate_contracting_set(
     find, _ = union_find(g, (e.id for e in g.edges if e.id not in cs.deleting))
     if any(find(e.u) != find(e.v) for e in map(g.edge, cs.deleting)):
         raise InvalidContractingSet("D contains a cocycle")
-
-
-def activities(
-    g: ColoredMultigraph,
-    lab: ProperLabeling,
-    cs: ContractingSet,
-    pointed_as_zero: bool = False,
-) -> dict[str, Activity]:
-    """Activities by replaying contractions/deletions in decreasing label order."""
-    validate_contracting_set(g, cs, pointed_as_zero)
-    order, names, _, ends = _frame(g, lab, pointed_as_zero)
-    for steps, _ in _walk(order, ends, len(names), cs.contracting):
-        return dict(steps)
-    raise InvariantBreach("a valid contracting set has no leaf in the deletion-contraction walk")
 
 
 def _terminal_minor(part, names: list, zero: list, ends: list) -> ColoredMultigraph:
@@ -239,11 +206,11 @@ def universal_tutte_statesum(
                 moves = _moves(part, i, ends, demoted)
                 if demotes:
                     moves += ((part, None),)
-                for target, act in moves:
-                    if act is None:  # demoted: no weight, and a demote bit ranks above every delete bit
+                for target, kind in moves:
+                    if kind is None:  # demoted: no weight, and a demote bit ranks above every delete bit
                         step, bit, out = 0, delete_bit << k, lowered.setdefault(part, {})
                     else:
-                        step, bit = unit[_WEIGHT_KIND[act], e.color], delete_bit if act is Activity.EI else 0
+                        step, bit = unit[kind, e.color], delete_bit if kind == "y" else 0
                         out = kept.setdefault(target, {})
                     for w, (count, path) in weights.items():
                         seen = out.get(w + step)

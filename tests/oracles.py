@@ -5,13 +5,15 @@ The oracles recompute from first principles: subset enumeration, small
 determinants over exact fractions, brute-force bijections, and ideal
 membership by a Groebner basis (sympy). These stay deliberately dumb so they
 can arbitrate against the engine. The instruments (vertex pivots,
-psi-specialisation, terminal graphs, contracting sets by type, canonical graph
-codes and evaluation points) state the paper's invariants in tests.
+psi-specialisation, terminal graphs, activities, contracting sets by type,
+canonical graph codes and evaluation points) state the paper's invariants in
+tests.
 """
 
 from __future__ import annotations
 
 import random
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 import sympy
 
 from reltutte import ColoredMultigraph, EdgeRecord, RelPolynomial, variable, z_symbol
-from reltutte.errors import EngineError, InvalidContractingSet, LoopTwoSum, MissingKey, NotLinearInZ
+from reltutte.errors import EngineError, InvalidContractingSet, LoopTwoSum, NotLinearInZ
 from reltutte.graph import (
     RECOLOR_ZERO,
     PivotClassKey,
@@ -39,9 +41,6 @@ from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, PointedGraph, _classify,
 from reltutte.poly import _coerce, monomial_key
 from reltutte.tensor import TensorInstance, beta_lambda, beta_zero
 from reltutte.tutte import (
-    _CONTRACTED,
-    _WEIGHT_KIND,
-    Activity,
     ContractingSet,
     ProperLabeling,
     _decreasing_order,
@@ -116,6 +115,10 @@ class BadReattachChoice(EngineError):
     pass
 
 
+def other_end(e: EdgeRecord, w: str) -> str:
+    return e.v if w == e.u else e.u
+
+
 def cutpoints(g: ColoredMultigraph) -> tuple[str, ...]:
     """Vertices whose removal increases the component count."""
     full = rank(g, g.edge_ids())
@@ -144,7 +147,7 @@ def vertex_pivot(g: ColoredMultigraph, cutpoint: str, reattach: tuple[str, str])
     find, _ = union_find(g, (e.id for e in g.edges if cutpoint not in (e.u, e.v)))
     root = find(a)
     side = {v for v in g.vertex_set - {cutpoint} if find(v) == root}
-    if not any(e.other_end(cutpoint) in side for e in g.edges if cutpoint in (e.u, e.v) and not e.is_loop):
+    if not any(other_end(e, cutpoint) in side for e in g.edges if cutpoint in (e.u, e.v) and not e.is_loop):
         raise BadReattachChoice(f"the component of {a!r} is not attached to the cutpoint")
     if b in side or b not in g.vertex_set:
         raise BadReattachChoice(f"{b!r} must lie outside the component of {a!r}")
@@ -162,7 +165,7 @@ def vertex_pivot(g: ColoredMultigraph, cutpoint: str, reattach: tuple[str, str])
     edges = []
     for e in g.edges:
         u, v = e.u, e.v
-        if not e.is_loop and cutpoint in (u, v) and e.other_end(cutpoint) in side:
+        if not e.is_loop and cutpoint in (u, v) and other_end(e, cutpoint) in side:
             u = fresh if u == cutpoint else rename(u)
             v = fresh if v == cutpoint else rename(v)
         else:
@@ -480,6 +483,17 @@ def reference_maximum_cliques(masks, cand):
 # -- the deletion-contraction walk on rebuilt minors --------------------------------------
 
 
+class Activity(Enum):
+    IA = "internally-active"
+    II = "internally-inactive"
+    EA = "externally-active"
+    EI = "externally-inactive"
+
+
+_WEIGHT_KIND = {Activity.IA: "X", Activity.II: "x", Activity.EA: "Y", Activity.EI: "y"}
+_CONTRACTED = frozenset({Activity.IA, Activity.II})
+
+
 def reference_walk(g: ColoredMultigraph, order: list[str], cs: ContractingSet | None = None):
     """The deletion-contraction walk over the regular edges in ``order``, one
     rebuilt minor per node.
@@ -532,6 +546,19 @@ def terminal_graph(
     return t
 
 
+def activities(
+    g: ColoredMultigraph,
+    lab: ProperLabeling,
+    cs: ContractingSet,
+    pointed_as_zero: bool = False,
+) -> dict[str, Activity]:
+    """Activities by replaying contractions/deletions in decreasing label order."""
+    validate_contracting_set(g, cs, pointed_as_zero)
+    # copy the live steps before the walk moves on and pops them
+    (acts,) = (dict(steps) for steps, _, _ in reference_walk(g, _decreasing_order(g, lab, pointed_as_zero), cs))
+    return acts
+
+
 # -- state sum leaf by leaf ----------------------------------------------------------------
 
 
@@ -569,6 +596,10 @@ def reference_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> 
 
 
 # -- psi-specialisation ------------------------------------------------------------------
+
+
+class MissingKey(EngineError):
+    pass
 
 
 def specialize_psi(

@@ -21,6 +21,7 @@ from oracles import (
     contracting_sets_by_type,
     cutpoints,
     iso_classes,
+    other_end,
     patch_graph_family,
     spanning_tree_count,
     specialize_psi,
@@ -302,7 +303,7 @@ def test_criterion_10_pivot_key_invariance():
         sides = [
             c
             for c in components(rest)
-            if any(e.other_end(u) in c for e in g.edges if u in (e.u, e.v) and not e.is_loop)
+            if any(other_end(e, u) in c for e in g.edges if u in (e.u, e.v) and not e.is_loop)
         ]
         if len(sides) < 2:
             continue

@@ -3,7 +3,7 @@
 import random
 
 from conftest import G
-from oracles import canonical_code, colored_isomorphic, terminal_graph, vertex_pivot, weight_polynomial
+from oracles import activities, canonical_code, colored_isomorphic, terminal_graph, vertex_pivot, weight_polynomial
 from reltutte import (
     ColoredMultigraph,
     EdgeRecord,
@@ -19,11 +19,7 @@ from reltutte.randgen import (
     random_graph,
     random_pointed_graph,
 )
-from reltutte.tutte import (
-    canonical_labeling,
-    enumerate_contracting_sets,
-    activities,
-)
+from reltutte.tutte import canonical_labeling, enumerate_contracting_sets
 
 
 def _cycle(colors, prefix="e"):

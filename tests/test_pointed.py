@@ -164,6 +164,8 @@ def test_pi_contract_delete_on_two_cycle():
     assert pi_contract(z_symbol(key_loop)) == RelPolynomial.zero()
     key_bridge = pivot_class_key(G("edge ep 1 2 color=nu pointed"))
     assert pi_delete(z_symbol(key_bridge)) == RelPolynomial.zero()
+    no_nu = z_symbol(BRIDGE_Z)
+    assert pi_contract(no_nu) == pi_delete(no_nu) == RelPolynomial.zero()
 
 
 def test_pi_requires_z_linear():
@@ -277,7 +279,6 @@ def test_t0_keys_retain_pointed_edge():
         rng = random.Random(derived_seed(36, i))
         pg = random_pointed_graph(rng, max_regular=3, zero_edges=(1, 2))
         for key in pointed_polys(pg).t0.zkeys():
-            assert key.pointed_edge_count() == 1
             assert key.pointed_status() == "inner"
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import G
 from oracles import (
     EvaluationPoint,
+    MissingKey,
     evaluate,
     ideal_generators,
     reference_equal_mod_ideal,
@@ -21,7 +22,7 @@ from reltutte import (
     variable,
     z_symbol,
 )
-from reltutte.errors import MissingKey, NotLinearInZ
+from reltutte.errors import NotLinearInZ
 from reltutte.poly import monomial_key
 
 BRIDGE_KEY = pivot_class_key(G("edge h 1 2 color=z0 zero"))

@@ -18,7 +18,7 @@ def test_parse_two_parallel_example():
     g = G("edge a 1 2 color=mu\nedge h 1 2 color=z0 zero")
     assert sorted(g.edge_ids()) == ["a", "h"]
     assert g.edge("h").is_zero and not g.edge("a").is_zero
-    assert g.vertices == ("1", "2")
+    assert tuple(sorted(g.vertex_set)) == ("1", "2")
 
 
 def test_comments_and_blank_lines():
