@@ -224,8 +224,7 @@ def contract(g: ColoredMultigraph, eid: str) -> ColoredMultigraph:
         u = keep if f.u == gone else f.u
         v = keep if f.v == gone else f.v
         edges.append(EdgeRecord(f.id, u, v, f.color, f.is_zero, f.is_pointed) if (u, v) != (f.u, f.v) else f)
-    extra = (g.vertex_set - {gone}) - {x for f in edges for x in (f.u, f.v)}
-    return ColoredMultigraph(edges, extra_vertices=extra)
+    return ColoredMultigraph(edges, extra_vertices=g.vertex_set - {gone})
 
 
 def delete(g: ColoredMultigraph, eid: str) -> ColoredMultigraph:
@@ -245,25 +244,25 @@ def is_bridge(g: ColoredMultigraph, eid: str) -> bool:
 # -- blocks ---------------------------------------------------------------------
 
 
-def blocks(g: ColoredMultigraph) -> list[ColoredMultigraph]:
-    """Biconnected components; every edge lands in exactly one block.
+def blocks(g: ColoredMultigraph) -> list[tuple[EdgeRecord, ...]]:
+    """Biconnected components as edge tuples; every edge lands in exactly one block.
 
     A block is a maximal 2-connected subgraph, a single bridge, or a single
-    loop. Isolated vertices produce no block.
+    loop, given as its edge records sorted by id. Blocks are ordered by their
+    least edge id. Isolated vertices produce no block.
     """
-    loops = [e for e in g.edges if e.is_loop]
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_set}
+    out = [(e,) for e in g.edges if e.is_loop]
+    adj: dict[str, list[tuple[str, EdgeRecord]]] = {v: [] for v in g.vertex_set}
     for e in g.edges:
         if e.is_loop:
             continue
-        adj[e.u].append((e.v, e.id))
-        adj[e.v].append((e.u, e.id))
+        adj[e.u].append((e.v, e))
+        adj[e.v].append((e.u, e))
 
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     timer = count()
-    stack: list[str] = []
-    groups: list[list[str]] = []
+    stack: list[EdgeRecord] = []
 
     def dfs(root):
         # iterative DFS so deep paths cannot overflow the recursion limit
@@ -272,17 +271,17 @@ def blocks(g: ColoredMultigraph) -> list[ColoredMultigraph]:
         while work:
             v, in_edge, it = work[-1]
             advanced = False
-            for w, eid in it:
-                if eid == in_edge:
+            for w, e in it:
+                if e is in_edge:
                     continue
                 if w not in disc:
-                    stack.append(eid)
+                    stack.append(e)
                     disc[w] = low[w] = next(timer)
-                    work.append((w, eid, iter(adj[w])))
+                    work.append((w, e, iter(adj[w])))
                     advanced = True
                     break
                 if disc[w] < disc[v]:
-                    stack.append(eid)
+                    stack.append(e)
                     low[v] = min(low[v], disc[w])
             if advanced:
                 continue
@@ -293,22 +292,17 @@ def blocks(g: ColoredMultigraph) -> list[ColoredMultigraph]:
                 if low[v] >= disc[parent]:
                     grp = []
                     while True:
-                        eid = stack.pop()
-                        grp.append(eid)
-                        if eid == in_edge:
+                        e = stack.pop()
+                        grp.append(e)
+                        if e is in_edge:
                             break
-                    groups.append(grp)
+                    out.append(tuple(sorted(grp, key=lambda f: f.id)))
 
     for v in sorted(g.vertex_set):
         if v not in disc:
             dfs(v)
 
-    out = []
-    for e in loops:
-        out.append(ColoredMultigraph([e]))
-    for grp in groups:
-        out.append(ColoredMultigraph([g.edge(eid) for eid in grp]))
-    out.sort(key=lambda b: b.edge_ids())
+    out.sort(key=lambda b: b[0].id)
     return out
 
 
@@ -516,29 +510,28 @@ def _canonical_atoms_cached(n_vertices: int, sig: tuple) -> tuple:
     return tuple(sorted(atoms))
 
 
-def canonical_atoms(g: ColoredMultigraph) -> tuple:
-    """Edges of g rewritten over a canonical vertex labeling 0..n-1.
+def canonical_atoms(edges: Iterable[EdgeRecord], n_vertices: int) -> tuple:
+    """Edges of a graph on n_vertices vertices rewritten over a canonical labeling 0..n-1.
 
     Two graphs get equal atom tuples (paired with their vertex counts) iff
     they are isomorphic as colored multigraphs. Zero/pointed flags are not
     encoded: under the color discipline they are implied by the color.
     """
-    sig = tuple(sorted(e.endpoints() + (e.color,) for e in g.edges))
-    return _canonical_atoms_cached(len(g.vertex_set), sig)
+    sig = tuple(sorted(e.endpoints() + (e.color,) for e in edges))
+    return _canonical_atoms_cached(n_vertices, sig)
 
 
-def block_code(b: ColoredMultigraph) -> str:
-    """Canonical printable code of a single block."""
-    es = b.edges
-    if len(es) == 1:
-        e = es[0]
+def block_code(b: tuple[EdgeRecord, ...]) -> str:
+    """Canonical printable code of a single block, given as its edge tuple."""
+    if len(b) == 1:
+        e = b[0]
         return f"loop({e.color})" if e.is_loop else f"bridge({e.color})"
-    if len(es) == 2 and len(b.vertex_set) == 2:
-        c1, c2 = sorted(e.color for e in es)
+    n = len({x for e in b for x in (e.u, e.v)})
+    if len(b) == 2 and n == 2:
+        c1, c2 = sorted(e.color for e in b)
         return f"cycle2({c1},{c2})"
-    atoms = canonical_atoms(b)
-    body = ",".join(f"{i}-{j}:{c}" for i, j, c in atoms)
-    return f"b{len(b.vertex_set)}({body})"
+    body = ",".join(f"{i}-{j}:{c}" for i, j, c in canonical_atoms(b, n))
+    return f"b{n}({body})"
 
 
 @dataclass(frozen=True)
@@ -570,15 +563,13 @@ class PivotClassKey:
 
 
 def pivot_class_key(g: ColoredMultigraph) -> PivotClassKey:
-    """Canonical pivot-class key; isolated vertices contribute nothing."""
-    bs = blocks(g)
-    codes = tuple(sorted(block_code(b) for b in bs))
-    if bs:
-        used = {x for b in bs for x in b.vertex_set}
-        rep = ColoredMultigraph([e for b in bs for e in b.edges]) if used != g.vertex_set else g
-    else:
-        rep = single_vertex()
-    return PivotClassKey(codes, rep)
+    """Canonical pivot-class key from the edge tuples of g's blocks; isolated vertices contribute nothing."""
+    codes = tuple(sorted(block_code(b) for b in blocks(g)))
+    edges = g.edges
+    if not edges:
+        return PivotClassKey(codes, single_vertex())
+    isolated = g.vertex_set - {x for e in edges for x in (e.u, e.v)}
+    return PivotClassKey(codes, ColoredMultigraph(edges) if isolated else g)
 
 
 EMPTY_KEY = pivot_class_key(single_vertex())

@@ -48,7 +48,6 @@ class PointedGraph:
         # computed on first use and kept for the life of this pointed graph
         self._universal: RelPolynomial | None = None
         self._polys: PointedPolynomials | None = None
-        self._copies: dict[str, PointedGraph] = {}  # TensorInstance.copy_graph's namespaced copies
 
     def contracted(self) -> ColoredMultigraph:
         return contract(self.graph, self.pointed_id)

@@ -34,7 +34,6 @@ from .graph import (
     POINTED_COLOR,
     RECOLOR_ZERO,
     ColoredMultigraph,
-    EdgeRecord,
     PivotClassKey,
     _glue_along_edge,
     is_connected,
@@ -98,17 +97,6 @@ class TensorInstance:
     def lambda_edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.g1.edges if e.color == self.lam and not e.is_zero)
 
-    def copy_graph(self, f: str) -> PointedGraph:
-        """The standalone namespaced copy of the patch assigned to base edge f, kept on the patch."""
-        copies = self.g2._copies
-        if f not in copies:
-            edges = [
-                EdgeRecord(f"{f}/{e.id}", f"{f}/{e.u}", f"{f}/{e.v}", e.color, e.is_zero, e.is_pointed)
-                for e in self.g2.graph.edges
-            ]
-            copies[f] = PointedGraph(ColoredMultigraph(edges))
-        return copies[f]
-
     def copy_edge_ids(self, f: str) -> frozenset:
         return frozenset(f"{f}/{e.id}" for e in self.g2.graph.edges if e.id != self.g2.pointed_id)
 
@@ -150,6 +138,15 @@ def product_labeling(ti: TensorInstance, prod: ColoredMultigraph) -> ProperLabel
     return ProperLabeling(labels)
 
 
+def _in_patch(f: str, cs: ContractingSet) -> ContractingSet:
+    """The pair chosen in f's copy, over the patch's own ids: ``f/<id>`` becomes ``<id>``."""
+    for eid in cs.contracting | cs.deleting:
+        if not eid.startswith(f"{f}/"):
+            raise InvalidContractingSet(f"edge {eid!r} lies outside the copy of {f!r}")
+    cut = len(f) + 1
+    return ContractingSet(frozenset(e[cut:] for e in cs.contracting), frozenset(e[cut:] for e in cs.deleting))
+
+
 @dataclass(frozen=True)
 class InducedPartition:
     """Partition of the base edge set induced by a product contracting set."""
@@ -167,8 +164,8 @@ def induced_partition(ti: TensorInstance, cs: ContractingSet, flip: bool = False
     for f in lam_ids:
         ids = ti.copy_edge_ids(f)
         # a cut inside a copy that keeps the pointed edge's ends together cuts
-        # the product too, so a product set restricts to a contracting set
-        sides[_classify(ti.copy_graph(f), ContractingSet(cs.contracting & ids, cs.deleting & ids))].add(f)
+        # the product too, so a product set restricts to a contracting set of the patch
+        sides[_classify(ti.g2, _in_patch(f, ContractingSet(cs.contracting & ids, cs.deleting & ids)))].add(f)
     for eid in ti.g1.regular_ids():
         if eid not in lam_ids:
             sides[TYPE_C if eid in cs.contracting else TYPE_D].add(eid)
@@ -199,9 +196,8 @@ def compose_contracting_set(
     for f in sorted(lam_ids):
         if f not in per_copy:
             raise InvalidPartition(f"missing per-copy choice for {f!r}")
-        copy = ti.copy_graph(f)
         cs_f = per_copy[f]
-        got = classify_pair(copy, cs_f)
+        got = classify_pair(ti.g2, _in_patch(f, cs_f))
         if got != want[f]:
             raise TypeMismatch(f"copy {f!r} has type {got}, required {want[f]}")
         c |= set(cs_f.contracting)

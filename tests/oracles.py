@@ -27,6 +27,7 @@ from reltutte.graph import (
     RECOLOR_ZERO,
     PivotClassKey,
     _glue_along_edge,
+    blocks,
     canonical_atoms,
     contract,
     delete,
@@ -34,6 +35,7 @@ from reltutte.graph import (
     pivot_class_key,
     rank,
     recolor_subset,
+    single_vertex,
     splice_all,
     union_find,
 )
@@ -402,9 +404,34 @@ def block_multisets_equal(g1: ColoredMultigraph, g2: ColoredMultigraph) -> bool:
 
 def canonical_code(g: ColoredMultigraph) -> str:
     """Printable isomorphism code of g: its vertex count and canonical atoms."""
-    atoms = canonical_atoms(g)
+    atoms = canonical_atoms(g.edges, len(g.vertex_set))
     body = ",".join(f"{i}-{j}:{c}" for i, j, c in atoms)
     return f"g{len(g.vertex_set)}({body})"
+
+
+def _reference_block_code(b: ColoredMultigraph) -> str:
+    """A block's code read off a graph built for the block alone."""
+    es = b.edges
+    if len(es) == 1:
+        e = es[0]
+        return f"loop({e.color})" if e.is_loop else f"bridge({e.color})"
+    if len(es) == 2 and len(b.vertex_set) == 2:
+        c1, c2 = sorted(e.color for e in es)
+        return f"cycle2({c1},{c2})"
+    body = ",".join(f"{i}-{j}:{c}" for i, j, c in canonical_atoms(b.edges, len(b.vertex_set)))
+    return f"b{len(b.vertex_set)}({body})"
+
+
+def reference_pivot_class_key(g: ColoredMultigraph) -> PivotClassKey:
+    """Pivot key built block by block: one graph per block, and the
+    representative rebuilt from the blocks' edges unless the blocks cover
+    every vertex of g."""
+    bs = [ColoredMultigraph(b) for b in blocks(g)]
+    codes = tuple(sorted(_reference_block_code(b) for b in bs))
+    if not bs:
+        return PivotClassKey(codes, single_vertex())
+    used = {x for b in bs for x in b.vertex_set}
+    return PivotClassKey(codes, ColoredMultigraph([e for b in bs for e in b.edges]) if used != g.vertex_set else g)
 
 
 # -- reference canonical form -------------------------------------------------------------

@@ -19,6 +19,7 @@ from oracles import (
     reference_cutpoints,
     reference_is_bridge,
     reference_maximum_cliques,
+    reference_pivot_class_key,
     two_sum,
     vertex_pivot,
 )
@@ -44,6 +45,7 @@ from reltutte.errors import (
 )
 from reltutte.graph import _maximum_cliques, components, is_connected, single_vertex
 from reltutte.randgen import RandomInstanceSpec, derived_seed, random_graph
+from reltutte.textio import format_graph
 
 # random corpora with loops, parallel edges and isolated vertices
 _SPEC_UP_TO_4 = RandomInstanceSpec(vertices=(2, 4), regular_edges=(1, 5), zero_edges=(0, 1), connected=False)
@@ -120,8 +122,8 @@ def test_bridge_and_loop_predicates(triangle):
 
 def test_blocks_small_cases(triangle):
     path = G("edge e1 a b color=mu\nedge e2 b c color=mu")
-    assert [sorted(b.edge_ids()) for b in blocks(path)] == [["e1"], ["e2"]]
-    assert [sorted(b.edge_ids()) for b in blocks(triangle)] == [["e1", "e2", "e3"]]
+    assert [[e.id for e in b] for b in blocks(path)] == [["e1"], ["e2"]]
+    assert [[e.id for e in b] for b in blocks(triangle)] == [["e1", "e2", "e3"]]
 
 
 def test_blocks_triangle_with_pendant_matches_bruteforce():
@@ -133,7 +135,7 @@ def test_blocks_triangle_with_pendant_matches_bruteforce():
         edge p c d color=mu
         """
     )
-    got = sorted((frozenset(b.edge_ids()) for b in blocks(g)), key=sorted)
+    got = sorted((frozenset(e.id for e in b) for b in blocks(g)), key=sorted)
     want = sorted(blocks_bruteforce(g), key=sorted)
     assert got == want
     assert len(got) == 2
@@ -144,16 +146,38 @@ def test_blocks_partition_edges_randomized():
         rng = random.Random(derived_seed(11, i))
         g = random_graph(rng, _SPEC_UP_TO_6)
         bs = blocks(g)
-        ids = sorted(eid for b in bs for eid in b.edge_ids())
+        ids = sorted(e.id for b in bs for e in b)
         assert ids == sorted(g.edge_ids())
+        assert all(list(b) == sorted(b, key=lambda e: e.id) for b in bs)
+        assert [b[0].id for b in bs] == sorted(b[0].id for b in bs)
         want = sorted(blocks_bruteforce(g), key=sorted)
-        got = sorted((frozenset(b.edge_ids()) for b in bs), key=sorted)
+        got = sorted((frozenset(e.id for e in b) for b in bs), key=sorted)
         assert got == want
 
 
 def test_pivot_key_of_edgeless_graph_is_empty():
     assert pivot_class_key(single_vertex()).codes == ()
     assert pivot_class_key(single_vertex()).render() == "z{}"
+
+
+def test_pivot_keys_match_per_block_graphs():
+    # the codes from edge tuples against a graph built for every block, on
+    # graphs with loops, isolated vertices and no edges at all
+    spec = RandomInstanceSpec(vertices=(1, 6), regular_edges=(0, 5), zero_edges=(0, 4), connected=False)
+    seen = {"no edges": 0, "loops": 0, "isolated": 0}
+    for i in range(1200):
+        g = random_graph(random.Random(derived_seed(72, i)), spec)
+        if i % 3 == 0:
+            g = ColoredMultigraph(g.edges, extra_vertices=g.vertex_set | {"iso"})
+        used = {x for e in g.edges for x in (e.u, e.v)}
+        seen["no edges"] += not g.edges
+        seen["loops"] += any(e.is_loop for e in g.edges)
+        seen["isolated"] += bool(g.edges) and used != g.vertex_set
+        got, want = pivot_class_key(g), reference_pivot_class_key(g)
+        assert got.codes == want.codes, i
+        assert format_graph(got.representative) == format_graph(want.representative), i
+        assert got.representative.vertex_set == want.representative.vertex_set, i
+    assert min(seen.values()) >= 30, seen
 
 
 def test_pivot_key_distinguishes_bridge_from_loop():

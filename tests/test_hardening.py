@@ -165,3 +165,24 @@ def test_library_catches_no_blanket_exceptions():
     ]
     assert len(handlers) > 5
     assert [f"{name}:{node.lineno}" for name, node in handlers if blanket(node)] == []
+
+
+def test_traced_layers_name_engine_functions():
+    # the benchmark tracer skips a function the engine no longer has, and its
+    # layer's metrics then read 0; a renamed or removed function fails here
+    import importlib
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [target for layer in tracer.LAYERS.values() for target in layer]
+    assert len(targets) > 20
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr in targets
+        if not callable(getattr(importlib.import_module(f"reltutte.{mod}"), attr, None))
+    ]
+    assert missing == []

@@ -77,17 +77,7 @@ def test_tensor_product_call_forms_share_one_entry():
     assert (info.hits, info.misses, info.currsize) == (3, 2, 1)
 
 
-def test_copy_graph_built_once_per_patch():
-    patch = _patch()
-    ti = _instance("edge f1 a b color=lam\nedge f2 b c color=lam\nedge m c a color=mu", patch)
-    assert ti.copy_graph("f1") is ti.copy_graph("f1")
-    assert ti.copy_graph("f1") is not ti.copy_graph("f2")
-    # the copies belong to the patch, so every instance over it shares them
-    other = _instance("edge f1 a b color=lam\nedge m a b color=mu", patch)
-    assert other.copy_graph("f1") is ti.copy_graph("f1")
-
-
-def test_patch_and_copies_freed_with_last_reference():
+def test_patch_freed_with_last_reference():
     import gc
     import weakref
 
@@ -98,12 +88,12 @@ def test_patch_and_copies_freed_with_last_reference():
 
     ti = _instance("edge f1 a b color=lam\nedge m a b color=mu")
     use(ti)
-    refs = [weakref.ref(ti.g2), weakref.ref(ti.copy_graph("f1"))]
+    ref = weakref.ref(ti.g2)
     # another instance takes the one entry of each tensor cache
     use(_instance("edge f1 a b color=lam\nedge m a b color=mu"))
     del ti
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert ref() is None
 
 
 def test_instance_without_lambda_edges_rejected():
@@ -137,8 +127,10 @@ def test_restrictions_are_contracting_sets_of_copies():
     for cs in enumerate_contracting_sets(prod):
         for f in ti.lambda_edge_ids():
             ids = ti.copy_edge_ids(f)
-            cs_f = ContractingSet(cs.contracting & ids, cs.deleting & ids)
-            classify_pair(ti.copy_graph(f), cs_f)  # validates internally
+            # the copy's pair over the patch's own ids
+            cut = len(f) + 1
+            cs_f = ContractingSet(frozenset(e[cut:] for e in cs.contracting & ids), frozenset(e[cut:] for e in cs.deleting & ids))
+            classify_pair(ti.g2, cs_f)  # validates internally
 
 
 def test_bridge_base_edge_never_type_d():
@@ -175,7 +167,8 @@ def test_round_trip_and_count_identity():
     # independent cardinality count via the three-step procedure
     from reltutte.graph import RECOLOR_ZERO, recolor_subset
 
-    buckets = {f: contracting_sets_by_type(ti.copy_graph(f)) for f in ti.lambda_edge_ids()}
+    # every copy has the patch's buckets
+    buckets = contracting_sets_by_type(ti.g2)
     lam_ids = ti.lambda_edge_ids()
     total = 0
     for mask in range(1 << len(lam_ids)):
@@ -185,15 +178,15 @@ def test_round_trip_and_count_identity():
             ways = 1
             for f in lam_ids:
                 want = TYPE_C if f in cs1.contracting else TYPE_D if f in cs1.deleting else TYPE_ZERO
-                ways *= len(buckets[f][want])
+                ways *= len(buckets[want])
             total += ways
     assert total == len(all_cs)
 
 
 def test_compose_type_mismatch_rejected():
     ti = _instance("edge f1 a b color=lam\nedge m a b color=mu")
-    buckets = contracting_sets_by_type(ti.copy_graph("f1"))
-    wrong = buckets[TYPE_ZERO][0]
+    zero = contracting_sets_by_type(ti.g2)[TYPE_ZERO][0]
+    wrong = _cs({f"f1/{e}" for e in zero.contracting}, {f"f1/{e}" for e in zero.deleting})
     # the partition demands a type-D copy for f1 but the choice has type zero
     with pytest.raises(TypeMismatch):
         compose_contracting_set(ti, (frozenset({"m"}), frozenset({"f1"}), frozenset()), {"f1": wrong})
@@ -226,6 +219,18 @@ def test_compose_rejects_invalid_inputs():
     # m is not a lambda-edge, so it cannot be demoted
     with pytest.raises(InvalidPartition):
         compose_contracting_set(ti, ((), {"f1"}, {"m"}), good_copy)
+
+    # two lambda-edges: f1's copy of type C, f2 demoted with a type-zero copy
+    two = _instance("edge f1 a b color=lam\nedge f2 b a color=lam")
+    part = ({"f1"}, (), {"f2"})
+    good = {"f1": _cs(c={"f1/r1"}), "f2": _cs(d={"f2/r1"})}
+    assert compose_contracting_set(two, part, good) == _cs(c={"f1/r1"}, d={"f2/r1"})
+    # f1's pair names an edge of f2's copy
+    with pytest.raises(InvalidContractingSet):
+        compose_contracting_set(two, part, {**good, "f1": _cs(c={"f1/r1", "f2/r1"})})
+    # f1's pair names the copy's pointed edge, which the product does not have
+    with pytest.raises(InvalidContractingSet):
+        compose_contracting_set(two, part, {**good, "f1": _cs(c={"f1/r1"}, d={"f1/ep"})})
 
 
 def test_beta_lambda_substitutions():
