@@ -16,7 +16,8 @@ partitions have equal subtrees and merge. Each weight keeps its least branch
 path, which orders like the walk's leaves. The recursion checks the state sum
 on its own union-find, top down: it carries each path's packed weight down the
 stack, undoes contractions through a trail of merged roots, and counts one per
-leaf.
+leaf. Both walks compute one pivot key per zero-edge projection (the block
+roots of the zero edges' ends) in a call: a terminal graph depends on no more.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import ImproperLabeling, InvalidContractingSet, NotRegular
-from .graph import RECOLOR_ZERO, ColoredMultigraph, EdgeRecord, pivot_class_key, union_find
+from .graph import EMPTY_KEY, RECOLOR_ZERO, ColoredMultigraph, EdgeRecord, PivotClassKey, pivot_class_key, union_find
 from .poly import RelPolynomial, monomial_key
 
 
@@ -81,10 +82,12 @@ def _frame(g: ColoredMultigraph, lab: ProperLabeling, pointed_as_zero: bool) -> 
 
 
 def _packing(order: list[EdgeRecord]) -> tuple[dict, Callable]:
-    """Units of a weight packed as one base-(k + 1) digit per (kind, color) of the k edges ``order``, and its unpacking."""
+    """Units of a weight packed as one base-(k + 1) digit per (kind, color) of the k edges ``order``, and its
+    unpacking with the z-key of a leaf's zero-edge projection. The symbols are ranked once, in ``monomial_key``'s order."""
     base, symbols = len(order) + 1, dict.fromkeys((kind, e.color) for e in order for kind in "XxYy")
     unit = {s: base**i for i, s in enumerate(symbols)}
-    return unit, lambda w, key: monomial_key(((s, w // u % base) for s, u in unit.items()), (key,))
+    ranked = [(s, unit[s]) for s, _ in monomial_key(((s, 1) for s in unit), ())[0]]
+    return unit, lambda w, key: (tuple((s, e) for s, u in ranked if (e := w // u % base)), (key if key.codes else EMPTY_KEY,))
 
 
 def _moves(part: tuple, i: int, ends: list, demoted: tuple = ()) -> tuple:
@@ -149,11 +152,12 @@ def validate_contracting_set(
         raise InvalidContractingSet("D contains a cocycle")
 
 
-def _terminal_minor(part, names: list, zero: list, ends: list) -> ColoredMultigraph:
-    """A partition's terminal graph: the zero edges re-pointed to their blocks' least vertices."""
-    moved = [(e, names[part[u]], names[part[v]]) for e, (u, v) in zip(zero, ends)]
+def _terminal_key(proj: tuple, names: list, zero: list) -> PivotClassKey:
+    """The pivot key of a terminal graph from its zero-edge projection, the block roots of the zero edges'
+    ends in order: the zero edges re-pointed to those roots. Isolated vertices add nothing to a key."""
+    moved = [(e, names[u], names[v]) for e, u, v in zip(zero, proj[::2], proj[1::2])]
     edges = [e if (u, v) == (e.u, e.v) else EdgeRecord(e.id, u, v, e.color, e.is_zero, e.is_pointed) for e, u, v in moved]
-    return ColoredMultigraph(edges, extra_vertices={names[r] for r in part})
+    return pivot_class_key(ColoredMultigraph(edges))
 
 
 def _joined(part: tuple, a: int, b: int, ends: list) -> bool:
@@ -188,7 +192,8 @@ def universal_tutte_statesum(
     points at its block's least vertex) to {packed weight: (leaves, least
     branch path)}, edge by edge. Demote bits rank above delete bits in a
     path, so a monomial's key comes from the first subset in mask order that
-    has it, as in a sum of the per-subset state sums."""
+    has it, as in a sum of the per-subset state sums. Each demoted subset keys
+    its terminal graphs on their zero-edge projections."""
     order, names, zero, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
     k = len(order)
     wanted = set(demotable)
@@ -219,9 +224,12 @@ def universal_tutte_statesum(
     leaves = []
     for demoted, group in states.items():
         dz = [EdgeRecord(order[j].id, order[j].u, order[j].v, RECOLOR_ZERO, True, False) for j in demoted]
+        ends_z, keys = [v for uv in ends[k:] + [ends[j] for j in demoted] for v in uv], {}
         for part, weights in group.items():
-            key = pivot_class_key(_terminal_minor(part, names, zero + dz, ends[k:] + [ends[j] for j in demoted]))
-            leaves += [(path, w, count, key) for w, (count, path) in weights.items()]
+            proj = tuple(part[v] for v in ends_z)
+            if proj not in keys:
+                keys[proj] = _terminal_key(proj, names, zero + dz)
+            leaves += [(path, w, count, keys[proj]) for w, (count, path) in weights.items()]
     terms: dict = {}
     for _, w, count, key in sorted(leaves, key=lambda leaf: leaf[0]):
         m = monomial(w, key)
@@ -235,12 +243,14 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
     each block's least one, as ``contract`` names it, so contracting sets one parent and pushes its
     root on a trail. A stack entry (i, w, t) is the minor at edge i, reached with the packed weight w
     (as in the state sum) and a trail of length t: popping it rolls the trail back to t, and a child
-    carries its edge's unit in its weight. A leaf adds one count to its (partition, weight); each
-    partition's terminal graph is built once, and the counts merge by (weight, z-key) in leaf order.
+    carries its edge's unit in its weight. A leaf finds only its zero edges' ends and adds one count to
+    its (zero-edge projection, weight); each projection's pivot key is computed once, and the counts
+    merge by (weight, z-key) in leaf order.
     Matches the state sum under the canonical labeling term by term."""
     order, names, zero, ends = _frame(g, canonical_labeling(g, pointed_as_zero), pointed_as_zero)
     (unit, monomial), parent, trail, k = _packing(order), list(range(len(names))), [], len(order)
     high, index, keys, counts = (k + 1) ** len(unit), {}, [], {}  # high exceeds every packed weight
+    ends_z = [v for uv in ends[k:] for v in uv]
 
     def find(v, up):
         while up[v] != v:
@@ -254,11 +264,11 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
             b = trail.pop()
             parent[b] = b
         if i == k:
-            part = tuple(find(v, parent) for v in range(len(names)))
-            if part not in index:
-                index[part] = len(keys)
-                keys.append(pivot_class_key(_terminal_minor(part, names, zero, ends[k:])))
-            leaf = index[part] * high + w
+            proj = tuple(find(v, parent) for v in ends_z)
+            if proj not in index:
+                index[proj] = len(keys)
+                keys.append(_terminal_key(proj, names, zero))
+            leaf = index[proj] * high + w
             counts[leaf] = counts.get(leaf, 0) + 1
             continue
         a, b = sorted(find(v, parent) for v in ends[i])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -32,7 +33,8 @@ from reltutte import (
     z_symbol,
 )
 from reltutte.errors import ImproperLabeling, InvalidContractingSet, NotRegular
-from reltutte.graph import EMPTY_KEY, RECOLOR_ZERO, recolor_subset
+from reltutte.graph import EMPTY_KEY, RECOLOR_ZERO, ColoredMultigraph, EdgeRecord, recolor_subset
+from reltutte.poly import monomial_key
 from reltutte.randgen import (
     RandomInstanceSpec,
     derived_seed,
@@ -41,7 +43,7 @@ from reltutte.randgen import (
     random_pointed_graph,
     random_proper_labeling,
 )
-from reltutte.tutte import _decreasing_order
+from reltutte.tutte import _decreasing_order, _packing
 
 
 def _cs(c=(), d=()):
@@ -335,7 +337,9 @@ def test_recursion_matches_rebuilt_minor_reference_edge_cases():
 
 
 def _deep_graphs():
-    """Graphs of 15-17 edges, so the recursion's trail is undone from deep down."""
+    """Graphs of 15-17 edges, so the recursion's trail is undone from deep down: the wheel W8 with one
+    zero rim edge, K6 with one zero edge and the 3×4 grid with zero edges 0, 5 and 11, as in the
+    perfbench ``walk`` corpus."""
     wheel = [(0, i, "mu") for i in range(1, 9)] + [(i, i % 8 + 1, "z0 zero" if i == 1 else "rho") for i in range(1, 9)]
     k6 = [(u, v, "z0 zero" if (u, v) == (0, 1) else ("mu", "rho")[(u + v) % 2]) for u in range(6) for v in range(u + 1, 6)]
     grid = [(v, v + 1, "mu") for v in range(12) if v % 4 < 3] + [(v, v + 4, "rho") for v in range(8)]
@@ -405,6 +409,84 @@ def test_recursion_does_no_polynomial_arithmetic(monkeypatch):
         monkeypatch.setattr(RelPolynomial, name, _no_arithmetic)
     _assert_same_terms(tutte_recursive(k4), want[0])
     _assert_same_terms(tutte_recursive(pointed, pointed_as_zero=True), want[1])
+
+
+def test_walk_corpus_renders_are_pinned():
+    # sha256 of the state sum's render of W8, K6 and the 3×4 grid, captured before the
+    # terminal keys were taken per zero-edge projection
+    want = [
+        "fe8408c16e3c5f099b6903b36ff6bc43002151e801a8364f235ec38e739a048b",
+        "322575d5e877ccbf773665764d0325ee8df54386ab49c82eb2e076b0ceb38514",
+        "51f2b1520a068b41404dcfe9c20f89b604f8efdcf799dcb33ac4f29cf8f6630f",
+    ]
+    for g, digest in zip(_deep_graphs(), want, strict=True):
+        text = universal_tutte_statesum(g).render()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert tutte_recursive(g).render() == text
+
+
+def _distinct_terminal_graphs(g, lab):
+    """Terminal graphs of g's contracting sets (oracle walk), told apart by their edges alone."""
+    return len({
+        frozenset((e.id, frozenset((e.u, e.v))) for e in terminal_graph(g, lab, cs).edges)
+        for cs in enumerate_contracting_sets(g, lab)
+    })
+
+
+def _key_calls(monkeypatch, walk, *args, **kwargs):
+    """The number of ``pivot_class_key`` calls one walk makes."""
+    calls = []
+    monkeypatch.setattr("reltutte.tutte.pivot_class_key", lambda t: calls.append(t) or pivot_class_key(t))
+    walk(*args, **kwargs)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_one_pivot_key_per_zero_edge_projection(monkeypatch):
+    zero_counts = set()
+    for i in range(150):
+        rng = random.Random(derived_seed(41, i))
+        spec = RandomInstanceSpec(vertices=(1, 6), regular_edges=(0, 7), zero_edges=(0, 3), connected=i % 2 == 0)
+        g = random_graph(rng, spec)
+        if i % 3 == 0:
+            g = ColoredMultigraph(g.edges, extra_vertices=g.vertex_set | {"iso"})
+        zero_counts.add(len(g.zero_ids()))
+        want = _distinct_terminal_graphs(g, canonical_labeling(g))
+        for walk in (universal_tutte_statesum, tutte_recursive, universal_tutte_statesum):  # no state carries over
+            assert _key_calls(monkeypatch, walk, g) == want, i
+        if not g.zero_ids():
+            assert want == 1
+        if g.regular_ids():  # one key per projection within each demoted group
+            color = rng.choice(g.regular_colors())
+            demotable = [e for e in g.regular_ids() if g.edge(e).color == color][:3]
+            lab = canonical_labeling(g)
+            want = 0
+            for mask in range(1 << len(demotable)):
+                s = {e for j, e in enumerate(demotable) if mask >> j & 1}
+                labels = ProperLabeling({e: 0 if e in s else v for e, v in lab.labels.items()})
+                want += _distinct_terminal_graphs(recolor_subset(g, s, RECOLOR_ZERO), labels)
+            for _ in range(2):
+                assert _key_calls(monkeypatch, universal_tutte_statesum, g, demotable=demotable) == want, i
+    assert zero_counts == {0, 1, 2, 3}
+
+
+def test_packing_unpacks_as_monomial_key():
+    nonempty = pivot_class_key(G("edge h a b color=z0 zero"))
+    empty = pivot_class_key(ColoredMultigraph())  # empty codes, but not the EMPTY_KEY object
+    assert empty == EMPTY_KEY and empty is not EMPTY_KEY
+    for i in range(300):
+        rng = random.Random(derived_seed(42, i))
+        colors = ["mu", "rho", "tau"][: rng.randint(1, 3)]
+        order = [EdgeRecord(f"e{j}", "a", "b", rng.choice(colors)) for j in range(rng.randint(1, 6))]
+        unit, monomial = _packing(order)
+        base = len(order) + 1
+        exps = {s: 0 if i % 5 == 0 else rng.randrange(base) for s in unit}  # every fifth weight is 0
+        w = sum(e * unit[s] for s, e in exps.items())
+        for key in (nonempty, empty):
+            got = monomial(w, key)
+            assert got == monomial_key(exps.items(), (key,)), i
+            assert got[1][0] is (key if key.codes else EMPTY_KEY)
+        assert monomial(0, empty) == ((), (EMPTY_KEY,))
 
 
 def test_improper_labeling_rejected(parallel_pair):
