@@ -16,7 +16,12 @@ Summing over all subsets of the replaced color's edges (each subset demoted
 to zero edges beforehand) reproduces the universal relative Tutte polynomial
 of the product. The three maps are linear, so the sum is taken first: one
 state sum of the base, in which each replaced edge may also be demoted,
-gives the sum over all subsets, and each map is applied to it once.
+gives the sum over all subsets, and each map is applied to it once. When the
+type-zero polynomial is zero, only the empty subset contributes: the zero
+substitution expands each demoted edge into a sum over its terms, an empty
+sum, so every class with a demoted edge vanishes and the formula is the
+colored one, the regular substitution and the splicing map alone. The state
+sum then demotes nothing.
 ``verify_tensor_formula`` checks that equality by randomized evaluation
 modulo the labeling ideal.
 """
@@ -268,9 +273,11 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
     Each ``lambda0``-colored edge of a class representative is glued, by a
     2-sum along the patch's pointed edge, to one term of t0; the results are
     summed over all assignments of t0 terms to demoted edges. Classes without
-    demoted edges pass through; with a zero t0 they are annihilated.
+    demoted edges pass through under their own monomial. A zero t0 has no
+    term to glue, so every class with a demoted edge vanishes and nothing is
+    built for it.
     """
-    parts = decompose_z_linear(t0) if not t0.is_zero else []
+    parts = decompose_z_linear(t0)
     out = []
     for (vars_, zs), coeff in p._terms.items():
         if len(zs) != 1:
@@ -279,7 +286,9 @@ def beta_zero(p: RelPolynomial, t0: RelPolynomial, flip: bool = False) -> RelPol
         rep = key.representative
         demoted = sorted(e.id for e in rep.edges if e.color == RECOLOR_ZERO)
         if not demoted:
-            out.append(RelPolynomial.monomial(coeff, vars_, zs))
+            out.append(RelPolynomial({(vars_, zs): coeff}))
+            continue
+        if not parts:
             continue
         base_poly = RelPolynomial.monomial(coeff, vars_, ())
         for assignment in iter_product(range(len(parts)), repeat=len(demoted)):
@@ -300,12 +309,18 @@ def _orientation_free_stage(ti: TensorInstance) -> tuple[PointedPolynomials, Rel
     with S demoted)))`` over the subsets S of the replaced color's edges.
 
     The three maps are linear, so one state sum takes every demoted subset
-    and each map runs once. Only beta_zero reads the gluing orientation, so
-    both orientations share this stage. Callers run the two orientations of
-    an instance back to back, so one entry catches every reuse.
+    and each map runs once. A zero T_0 annihilates every class with a
+    demoted edge in beta_zero, so then only S = {} contributes and the state
+    sum demotes nothing. Its terms, their order and their key objects are the
+    S = {} terms of the full sum, whose other terms carry ``lambda0`` codes
+    and come after them in leaf order. Only beta_zero reads the gluing
+    orientation, so both orientations share this stage. Callers run the two
+    orientations of an instance back to back, so one entry catches every
+    reuse.
     """
     pp = pointed_polys(ti.g2)
-    u = universal_tutte_statesum(ti.g1, demotable=ti.lambda_edge_ids())
+    demotable = () if pp.t0.is_zero else ti.lambda_edge_ids()
+    u = universal_tutte_statesum(ti.g1, demotable=demotable)
     return pp, sigma(beta_lambda(u, ti.lam, pp))
 
 

@@ -198,6 +198,7 @@ def test_criterion_6_exchange_identities():
     _criterion(6, "pointed exchange identities on 100 random pointed graphs", 180.0, t0, ok)
 
 
+@pytest.mark.heavy
 def test_criterion_7_structural_bijection():
     t0 = time.time()
     structures = iso_classes(connected_multigraph_structures(4))
@@ -261,6 +262,7 @@ def test_criterion_8_substitution_formula_headline():
     _criterion(8, "substitution formula on 50 random instances", 600.0, t0, ok)
 
 
+@pytest.mark.heavy
 def test_criterion_9_contracting_sets_match_matrix_tree():
     t0 = time.time()
     ok = True

@@ -314,6 +314,41 @@ def test_beta_zero_loop_class():
     assert got == want
 
 
+def test_beta_zero_keeps_pass_through_terms():
+    # a hand-built stage: two classes without demoted edges around one with a lambda0 bridge
+    from reltutte import ColoredMultigraph, EdgeRecord
+
+    bridge = pivot_class_key(G("edge h 1 2 color=z0 zero"))
+    lam0 = pivot_class_key(
+        ColoredMultigraph([EdgeRecord("s", "1", "2", "lambda0", True, False), EdgeRecord("h", "2", "3", "z0", True, False)])
+    )
+    loop = pivot_class_key(G("edge h 1 1 color=z0 zero"))
+    stage = RelPolynomial.sum(
+        [
+            2 * variable("x", "mu") * z_symbol(bridge),
+            3 * variable("y", "mu") * z_symbol(lam0),
+            variable("x", "rho") * z_symbol(loop),
+        ]
+    )
+    passing = [(m, c) for m, c in stage._terms.items() if m[1][0] is not lam0]
+
+    # a zero type-zero polynomial annihilates the demoted class; the others keep
+    # their monomial, their place and their key object
+    got = beta_zero(stage, RelPolynomial.zero())
+    assert list(got._terms.items()) == passing
+    assert [m[1][0] for m in got._terms] == [bridge, loop]
+    assert all(k is want for k, want in zip((m[1][0] for m in got._terms), (bridge, loop)))
+
+    # a nonzero one glues its single term y[mu].z{cycle2(nu,z0)} into the lambda0 bridge
+    two_bridges = pivot_class_key(G("edge a 1 2 color=z0 zero\nedge b 2 3 color=z0 zero"))
+    got = beta_zero(stage, pointed_polys(_patch()).t0)
+    assert [(m, c, [format_graph(k.representative) for k in m[1]]) for m, c in got._terms.items()] == [
+        (passing[0][0], 2, ["edge h 1 2 color=z0 zero\n"]),
+        ((((("y", "mu"), 2),), (two_bridges,)), 3, ["edge h 2 3 color=z0 zero\nedge s.h 2 1 color=z0 zero\n"]),
+        (passing[1][0], 1, ["edge h 1 1 color=z0 zero\n"]),
+    ]
+
+
 def test_beta_zero_order_independence():
     pp = pointed_polys(_patch())
     two_a = z_symbol(pivot_class_key(_demoted_graph(("s1", "1", "2"), ("s2", "2", "3"))))
@@ -377,6 +412,7 @@ def test_verify_reports_and_corruption():
     assert not bad.equal
 
 
+@pytest.mark.heavy
 def test_formula_exhaustive_small_instances():
     # every base with at most 3 regular edges (1-2 replaced) against every
     # patch with at most 3 regular edges, one optional zero edge on each side
@@ -475,6 +511,31 @@ def test_cached_rhs_matches_uncached_reference(order):
             want = reference_substitution_rhs(ti, flip=flip)
             assert _terms_and_representatives(got) == _terms_and_representatives(want), (k, flip)
             assert got.render() == want.render(), (k, flip)
+
+
+def test_zero_t0_stage_demotes_nothing(monkeypatch):
+    # only S = {} survives a zero T_0, so the base's state sum demotes no edge then
+    import reltutte.tensor as tensor
+    from reltutte.tensor import _orientation_free_stage
+
+    calls = []
+
+    def spy(g, *args, demotable=(), **kwargs):
+        calls.append((g, tuple(demotable)))
+        return universal_tutte_statesum(g, *args, demotable=demotable, **kwargs)
+
+    monkeypatch.setattr(tensor, "universal_tutte_statesum", spy)
+    _orientation_free_stage.cache_clear()
+    instances, zero_t0 = _rhs_instances(), 0
+    for ti in instances:
+        calls.clear()
+        substitution_rhs(ti)
+        assert len(calls) == 1 and calls[0][0] is ti.g1
+        is_zero = pointed_polys(ti.g2).t0.is_zero
+        assert calls[0][1] == (() if is_zero else ti.lambda_edge_ids())
+        zero_t0 += is_zero
+    # both branches, so test_cached_rhs_matches_uncached_reference checks each against the all-subsets oracle
+    assert 0 < zero_t0 < len(instances)
 
 
 def test_orientation_free_stage_keeps_one_instance():
