@@ -336,8 +336,7 @@ def test_beta_zero_keeps_pass_through_terms():
     # their monomial, their place and their key object
     got = beta_zero(stage, RelPolynomial.zero())
     assert list(got._terms.items()) == passing
-    assert [m[1][0] for m in got._terms] == [bridge, loop]
-    assert all(k is want for k, want in zip((m[1][0] for m in got._terms), (bridge, loop)))
+    assert all(m[1][0] is want for m, want in zip(got._terms, (bridge, loop)))
 
     # a nonzero one glues its single term y[mu].z{cycle2(nu,z0)} into the lambda0 bridge
     two_bridges = pivot_class_key(G("edge a 1 2 color=z0 zero\nedge b 2 3 color=z0 zero"))
