@@ -124,10 +124,13 @@ class RelPolynomial:
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order: by z-key string, then variable string."""
-        return sorted(
-            self._terms.items(),
-            key=lambda it: (_zkeys_text(it[0][1]), _vars_text(it[0][0])),
-        )
+        return [(m, coeff) for _, _, m, coeff in self._texts()]
+
+    def _texts(self) -> list[tuple[str, str, Monomial, int]]:
+        """(z-key text, variable text, monomial, coefficient) per term, in ``terms`` order."""
+        rows = [(_zkeys_text(zs), _vars_text(vars_), (vars_, zs), c) for (vars_, zs), c in self._terms.items()]
+        rows.sort(key=lambda row: row[:2])
+        return rows
 
     def colors(self) -> set[str]:
         return {color for vars_, _ in self._terms for (kind, color), _e in vars_}
@@ -199,14 +202,8 @@ class RelPolynomial:
         if self.is_zero:
             return "0"
         chunks = []
-        for (vars_, zs), coeff in self.terms():
-            factors = []
-            vt = _vars_text(vars_)
-            if vt:
-                factors.append(vt)
-            zt = _zkeys_text(zs)
-            if zt:
-                factors.append(zt)
+        for zt, vt, _, coeff in self._texts():
+            factors = [text for text in (vt, zt) if text]
             mag = abs(coeff)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
@@ -219,10 +216,7 @@ class RelPolynomial:
 
     def term_records(self) -> list[dict]:
         """Stable JSON-friendly term list."""
-        return [
-            {"coeff": coeff, "vars": _vars_text(vars_), "zkey": _zkeys_text(zs)}
-            for (vars_, zs), coeff in self.terms()
-        ]
+        return [{"coeff": coeff, "vars": vt, "zkey": zt} for zt, vt, _, coeff in self._texts()]
 
     def __repr__(self):
         return f"RelPolynomial({self.render()})"

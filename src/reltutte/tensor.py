@@ -325,9 +325,16 @@ def _orientation_free_stage(ti: TensorInstance) -> tuple[PointedPolynomials, Rel
 
 
 def substitution_rhs(ti: TensorInstance, flip: bool = False) -> RelPolynomial:
-    """The substitution pipeline side, summed over demoted subsets of the replaced color."""
+    """The substitution pipeline side, summed over demoted subsets of the replaced color.
+
+    Under a zero T_0 the stage demotes nothing, so beta_zero would pass every
+    class through unchanged: the stage itself is the right side."""
     pp, stage = _orientation_free_stage(ti)
-    return beta_zero(stage, pp.t0, flip=flip)
+    if not pp.t0.is_zero:
+        return beta_zero(stage, pp.t0, flip=flip)
+    if any(len(zs) != 1 for _, zs in stage._terms):
+        raise NotLinearInZ("expected exactly one z-symbol per monomial")
+    return stage
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,18 @@ graph is the terminal graph whose pivot class indexes the z-symbol.
 
 A node's minor is the vertex partition its contractions induce, each block
 named by its least vertex as ``contract`` names it; ``_moves`` reads a node's
-branches off it, each tagged with its weight letter. Enumeration follows the
+branches off it, each tagged with its weight letter. Its bridge test joins the
+later edges on a copy of the partition, with path halving on the copy only,
+and stops at the first join of the edge's two blocks. Enumeration follows the
 walk node by node. The state sum counts the leaves level by level: equal
 partitions have equal subtrees and merge. Each weight keeps its least branch
 path, which orders like the walk's leaves. The recursion checks the state sum
 on its own union-find, top down: it carries each path's packed weight down the
 stack, undoes contractions through a trail of merged roots, and counts one per
-leaf. Both walks compute one pivot key per zero-edge projection (the block
-roots of the zero edges' ends) in a call: a terminal graph depends on no more.
+leaf. It runs the same early-exit bridge test inline on a copy of its
+union-find, whose own parent links the trail undoes and so are never halved.
+Both walks compute one pivot key per zero-edge projection (the block roots of
+the zero edges' ends) in a call: a terminal graph depends on no more.
 """
 
 from __future__ import annotations
@@ -90,20 +94,18 @@ def _packing(order: list[EdgeRecord]) -> tuple[dict, Callable]:
     return unit, lambda w, key: (tuple((s, e) for s, u in ranked if (e := w // u % base)), (key if key.codes else EMPTY_KEY,))
 
 
-def _moves(part: tuple, i: int, ends: list, demoted: tuple = ()) -> tuple:
-    """The walk's branches at edge i of a partition's minor, as (next
-    partition, weight letter) pairs: a loop is deleted (Y), a bridge
+def _moves(part: tuple, ab: tuple, later: list) -> tuple:
+    """The walk's branches at an edge of ends ``ab`` of a partition's minor,
+    as (next partition, weight letter) pairs: a loop is deleted (Y), a bridge
     contracted (X), and any other edge contracted (x), then deleted (y). The
-    minor keeps the later edges and the earlier edges of index ``demoted``."""
-    a, b = ends[i]
-    lo, hi = sorted((part[a], part[b]))
+    minor keeps the edges ``later`` besides the blocks."""
+    lo, hi = part[ab[0]], part[ab[1]]
     if lo == hi:
         return ((part, "Y"),)
+    if lo > hi:
+        lo, hi = hi, lo
     merged = tuple(lo if r == hi else r for r in part)
-    later = ends[i + 1 :]
-    if demoted:
-        later += [ends[j] for j in demoted]
-    if not _joined(part, a, b, later):
+    if not _joined(part, lo, hi, later):
         return ((merged, "X"),)
     return ((merged, "x"), (part, "y"))
 
@@ -130,7 +132,7 @@ def enumerate_contracting_sets(
             yield ContractingSet(c, frozenset(eid for eid, _ in steps) - c)
             continue
         eid = order[i].id
-        for target, kind in reversed(_moves(part, i, ends)):
+        for target, kind in reversed(_moves(part, ends[i], ends[i + 1 :])):
             stack.append((i + 1, (eid, kind in "Xx"), target))
 
 
@@ -161,18 +163,21 @@ def _terminal_key(proj: tuple, names: list, zero: list) -> PivotClassKey:
 
 
 def _joined(part: tuple, a: int, b: int, ends: list) -> bool:
-    """Whether the edges ``ends`` join the blocks of a and b of the partition."""
-    parent = list(part)  # each vertex already points at its block's root
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
+    """Whether the edges ``ends`` join the blocks of a and b, two blocks of the partition. The edges are joined
+    one by one on a copy of it, found with path halving, up to the first that puts the two blocks together."""
+    parent, a, b = list(part), part[a], part[b]  # each vertex already points at its block's root
     for u, v in ends:
-        parent[find(u)] = find(v)
-        if find(a) == find(b):
-            return True
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            continue
+        if u == a or u == b:  # a and b stay roots, so the edge that joins their blocks has them as its roots
+            if v == a or v == b:
+                return True
+            u, v = v, u
+        parent[u] = v
     return False
 
 
@@ -204,18 +209,20 @@ def universal_tutte_statesum(
     states = {(): {tuple(range(len(names))): {0: (1, 0)}}}
     for i, e in enumerate(order):
         delete_bit, nxt, demotes = 1 << (k - 1 - i), {}, i in demote
+        steps = {kind: unit[kind, e.color] for kind in "XxyY"}
         for demoted, group in states.items():
             kept = nxt.setdefault(demoted, {})
             lowered = nxt.setdefault(demoted + (i,), {}) if demotes else None
+            later = ends[i + 1 :] + [ends[j] for j in demoted]
             for part, weights in group.items():
-                moves = _moves(part, i, ends, demoted)
+                moves = _moves(part, ends[i], later)
                 if demotes:
                     moves += ((part, None),)
                 for target, kind in moves:
                     if kind is None:  # demoted: no weight, and a demote bit ranks above every delete bit
                         step, bit, out = 0, delete_bit << k, lowered.setdefault(part, {})
                     else:
-                        step, bit = unit[kind, e.color], delete_bit if kind == "y" else 0
+                        step, bit = steps[kind], delete_bit if kind == "y" else 0
                         out = kept.setdefault(target, {})
                     for w, (count, path) in weights.items():
                         seen = out.get(w + step)
@@ -241,20 +248,22 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
     """Deletion-contraction on the regular edge of largest id, top down: T = x·T(G/e) + y·T(G−e),
     X·T(G/e) for a bridge, Y·T(G−e) for a loop. A minor is a union-find of the vertices rooted at
     each block's least one, as ``contract`` names it, so contracting sets one parent and pushes its
-    root on a trail. A stack entry (i, w, t) is the minor at edge i, reached with the packed weight w
-    (as in the state sum) and a trail of length t: popping it rolls the trail back to t, and a child
-    carries its edge's unit in its weight. A leaf finds only its zero edges' ends and adds one count to
-    its (zero-edge projection, weight); each projection's pivot key is computed once, and the counts
-    merge by (weight, z-key) in leaf order.
+    root on a trail. The bridge test joins the edges after i on a copy of the union-find, halving
+    paths on the copy only, and stops at the first edge that joins the two blocks. A stack entry
+    (i, w, t) is the minor at edge i, reached with the packed weight w (as in the state sum) and a
+    trail of length t: popping it rolls the trail back to t, and a child carries its edge's unit in
+    its weight. A leaf finds only its zero edges' ends and adds one count to its (zero-edge
+    projection, weight); each projection's pivot key is computed once, and the counts merge by
+    (weight, z-key) in leaf order.
     Matches the state sum under the canonical labeling term by term."""
     order, names, zero, ends = _frame(g, canonical_labeling(g, pointed_as_zero), pointed_as_zero)
     (unit, monomial), parent, trail, k = _packing(order), list(range(len(names))), [], len(order)
     high, index, keys, counts = (k + 1) ** len(unit), {}, [], {}  # high exceeds every packed weight
-    ends_z = [v for uv in ends[k:] for v in uv]
+    ends_z, steps = [v for uv in ends[k:] for v in uv], [[unit[s, e.color] for s in "XxyY"] for e in order]
 
-    def find(v, up):
-        while up[v] != v:
-            v = up[v]
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
         return v
 
     stack = [(0, 0, 0)]
@@ -264,27 +273,42 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
             b = trail.pop()
             parent[b] = b
         if i == k:
-            proj = tuple(find(v, parent) for v in ends_z)
+            proj = tuple(map(find, ends_z))
             if proj not in index:
                 index[proj] = len(keys)
                 keys.append(_terminal_key(proj, names, zero))
             leaf = index[proj] * high + w
             counts[leaf] = counts.get(leaf, 0) + 1
             continue
-        a, b = sorted(find(v, parent) for v in ends[i])
-        color = order[i].color
+        a, b = ends[i]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        X, x, y, Y = steps[i]
         if a == b:
-            stack.append((i + 1, w + unit["Y", color], t))
+            stack.append((i + 1, w + Y, t))
             continue
-        rest = parent[:]  # the blocks, joined by the edges after i
+        if a > b:
+            a, b = b, a
+        rest = parent[:]  # the blocks, joined by the edges after i until a and b meet
         for u, v in ends[i + 1 :]:
-            rest[find(u, rest)] = find(v, rest)
+            while rest[u] != u:
+                rest[u] = u = rest[rest[u]]
+            while rest[v] != v:
+                rest[v] = v = rest[rest[v]]
+            if u == v:
+                continue
+            if u == a or u == b:  # a and b stay roots, so the edge that joins their blocks has them as its roots
+                if v == a or v == b:  # contracted first, then deleted
+                    stack += [(i + 1, w + y, t), (i + 1, w + x, t + 1)]
+                    break
+                u, v = v, u
+            rest[u] = v
+        else:
+            stack.append((i + 1, w + X, t + 1))
         parent[b] = a
         trail.append(b)
-        if find(a, rest) != find(b, rest):
-            stack.append((i + 1, w + unit["X", color], t + 1))
-        else:  # contracted first, then deleted
-            stack += [(i + 1, w + unit["y", color], t), (i + 1, w + unit["x", color], t + 1)]
     terms: dict = {}  # the first leaf of a (weight, z-key) keeps its place and its key object
     for leaf, n in counts.items():
         term = leaf % high, keys[leaf // high]

@@ -23,7 +23,7 @@ from reltutte import (
     verify_tensor_formula,
     z_symbol,
 )
-from reltutte.errors import InstanceInvalid, InvalidContractingSet, InvalidPartition, TypeMismatch
+from reltutte.errors import InstanceInvalid, InvalidContractingSet, InvalidPartition, NotLinearInZ, TypeMismatch
 from reltutte.graph import EMPTY_KEY
 from reltutte.pointed import TYPE_C, TYPE_D, TYPE_ZERO, classify_pair
 from reltutte.randgen import derived_seed, random_tensor_instance
@@ -535,6 +535,38 @@ def test_zero_t0_stage_demotes_nothing(monkeypatch):
         zero_t0 += is_zero
     # both branches, so test_cached_rhs_matches_uncached_reference checks each against the all-subsets oracle
     assert 0 < zero_t0 < len(instances)
+
+
+def test_zero_t0_skips_beta_zero(monkeypatch):
+    # under a zero T_0 the stage holds no demoted class, and it is the right side as it stands
+    import reltutte.tensor as tensor
+    from reltutte.tensor import _orientation_free_stage
+
+    calls = []
+
+    def spy(p, t0, flip=False):
+        calls.append(flip)
+        return beta_zero(p, t0, flip=flip)
+
+    monkeypatch.setattr(tensor, "beta_zero", spy)
+    _orientation_free_stage.cache_clear()
+    instances, zero_t0 = _rhs_instances(), 0
+    for ti in instances:
+        is_zero = pointed_polys(ti.g2).t0.is_zero
+        for flip in (False, True):
+            calls.clear()
+            rhs = substitution_rhs(ti, flip=flip)
+            assert calls == ([] if is_zero else [flip])
+            if is_zero:
+                assert rhs is _orientation_free_stage(ti)[1]
+        zero_t0 += is_zero
+    assert 0 < zero_t0 < len(instances)
+    # the skipped map's check stays: a stage term without exactly one z-symbol is refused
+    ti = next(ti for ti in instances if pointed_polys(ti.g2).t0.is_zero)
+    monkeypatch.setattr(tensor, "_orientation_free_stage", lambda ti: (pointed_polys(ti.g2), RelPolynomial.const(1)))
+    with pytest.raises(NotLinearInZ):
+        substitution_rhs(ti)
+    assert calls == []
 
 
 def test_orientation_free_stage_keeps_one_instance():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -43,7 +44,7 @@ from reltutte.randgen import (
     random_pointed_graph,
     random_proper_labeling,
 )
-from reltutte.tutte import _decreasing_order, _packing
+from reltutte.tutte import _decreasing_order, _joined, _packing
 
 
 def _cs(c=(), d=()):
@@ -385,6 +386,57 @@ def test_walks_deeper_than_the_recursion_limit(text, want):
     (cs,) = enumerate_contracting_sets(g)
     loops = {e.id for e in g.edges if e.is_loop}
     assert cs.deleting == loops and cs.contracting == set(g.regular_ids()) - loops
+
+
+def test_out_of_order_path_stays_fast():
+    # unpadded ids put the canonical labels out of path order, so contractions build deep
+    # union-find chains; a bridge test that stopped early without path halving went cubic here
+    g = G("".join(f"edge e{i} v{i} v{i + 1} color=mu\n" for i in range(1200)) + "edge h v0 w color=z0 zero\n")
+    t0 = time.perf_counter()
+    renders = tutte_recursive(g).render(), universal_tutte_statesum(g).render()
+    sets = list(enumerate_contracting_sets(g))
+    elapsed = time.perf_counter() - t0
+    assert renders == ("X[mu]^1200·z{bridge(z0)}",) * 2
+    assert sets == [_cs(c=g.regular_ids())]
+    assert elapsed < 3.0
+
+
+def _full_join(part, a, b, ends):
+    parent = list(part)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in ends:
+        parent[find(u)] = find(v)
+    return find(a) == find(b)
+
+
+def test_joined_matches_a_full_join():
+    rng = random.Random(derived_seed(44, 0))
+    checked = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        part = list(range(n))
+        for v in range(n):  # merge a few random blocks, each named by its least vertex
+            if rng.random() < 0.3:
+                lo, hi = sorted((part[v], part[rng.randrange(n)]))
+                part = [lo if r == hi else r for r in part]
+        part = tuple(part)
+        roots = sorted(set(part))
+        if len(roots) < 2:
+            continue
+        ends = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))]  # loops and parallels
+        ends += [rng.choice(ends) for _ in range(rng.randint(0, 2)) if ends]  # demoted ends join again
+        ra, rb = rng.sample(roots, 2)  # either root order, and any vertex of each block
+        a, b = rng.choice([v for v in range(n) if part[v] == ra]), rng.choice([v for v in range(n) if part[v] == rb])
+        want = _full_join(part, a, b, ends)
+        for x, y in ((a, b), (b, a), (ra, rb), (rb, ra)):
+            assert _joined(part, x, y, ends) == want, (part, x, y, ends)
+        checked[want] += 1
+    assert min(checked.values()) > 500
 
 
 def _no_arithmetic(*args):
