@@ -7,7 +7,8 @@ edges and loops are permitted throughout.
 Color discipline: within one graph a color is used either only on zero edges
 or only on regular edges, the reserved color ``nu`` appears on at most one
 edge and marks it pointed, and the reserved color ``lambda0`` is always a
-zero color.
+zero color. The pointed edge carries no zero flag, yet it is a zero edge of
+every walk: ``zero_ids`` holds it and ``regular_ids`` leaves it out.
 """
 
 from __future__ import annotations
@@ -122,19 +123,13 @@ class ColoredMultigraph:
     def has_edge(self, eid: str) -> bool:
         return str(eid) in self._edges
 
-    def regular_ids(self, pointed_as_zero: bool = False) -> tuple[str, ...]:
-        return tuple(
-            e.id
-            for e in self._edges.values()
-            if not e.is_zero and not (pointed_as_zero and e.is_pointed)
-        )
+    def regular_ids(self) -> tuple[str, ...]:
+        """The regular edges, which a walk weights: all but the zero edges and the pointed edge."""
+        return tuple(e.id for e in self._edges.values() if not (e.is_zero or e.is_pointed))
 
-    def zero_ids(self, pointed_as_zero: bool = False) -> tuple[str, ...]:
-        return tuple(
-            e.id
-            for e in self._edges.values()
-            if e.is_zero or (pointed_as_zero and e.is_pointed)
-        )
+    def zero_ids(self) -> tuple[str, ...]:
+        """The zero edges of a walk: the zero-flagged edges and the pointed edge."""
+        return tuple(e.id for e in self._edges.values() if e.is_zero or e.is_pointed)
 
     def pointed_edge(self) -> Optional[EdgeRecord]:
         for e in self._edges.values():
@@ -143,9 +138,10 @@ class ColoredMultigraph:
         return None
 
     def regular_colors(self) -> tuple[str, ...]:
-        return tuple(sorted({e.color for e in self._edges.values() if not e.is_zero and not e.is_pointed}))
+        return tuple(sorted({self._edges[eid].color for eid in self.regular_ids()}))
 
     def zero_colors(self) -> tuple[str, ...]:
+        """The colors of the zero-flagged edges: the pointed edge's ``nu`` is never one."""
         return tuple(sorted({e.color for e in self._edges.values() if e.is_zero}))
 
     def __eq__(self, other):
@@ -657,10 +653,10 @@ def recolor_subset(g: ColoredMultigraph, s: Iterable[str], new_color: str) -> Co
     ids = {str(x) for x in s}
     if not ids:
         return g
-    colors = set()
+    regular, colors = set(g.regular_ids()), set()
     for eid in sorted(ids):
         e = g.edge(eid)
-        if e.is_zero or e.is_pointed:
+        if eid not in regular:
             raise NotRegular(f"edge {eid!r} is not a regular edge")
         colors.add(e.color)
     if len(colors) > 1:

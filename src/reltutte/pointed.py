@@ -1,12 +1,14 @@
 """Pointed relative Tutte polynomials of a graph with one distinguished edge.
 
-The distinguished edge is treated as an honorary zero edge while summing over
-contracting sets; each contracting set is classified by whether the pointed
-edge ends up a loop (its contracting side closes a cycle through it), a
-bridge (its deleting side cuts through it), or neither (a zero-edge path
-keeps its endpoints connected). Projecting the universal polynomial onto
-those three classes and correcting the plain contraction/deletion polynomials
-by the "neither" class yields the five pointed polynomials.
+The distinguished edge is a zero edge of every walk (``regular_ids`` leaves it
+out), so the universal polynomial of a pointed graph sums over the contracting
+sets with it as an honorary zero edge. Each contracting set is classified by
+whether the pointed edge ends up a loop (its contracting side closes a cycle
+through it), a bridge (its deleting side cuts through it), or neither (a
+zero-edge path keeps its endpoints connected). Projecting the universal
+polynomial onto those three classes and correcting the plain
+contraction/deletion polynomials by the "neither" class yields the five
+pointed polynomials.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def classify_pair(pg: PointedGraph, cs: ContractingSet) -> str:
     Type D: the deleting side plus the pointed edge contains a cocycle.
     Type zero: neither.
     """
-    validate_contracting_set(pg.graph, cs, pointed_as_zero=True)
+    validate_contracting_set(pg.graph, cs)
     return _classify(pg, cs)
 
 
@@ -86,9 +88,9 @@ def _classify(pg: PointedGraph, cs: ContractingSet) -> str:
 
 
 def _map_z_linear(p: RelPolynomial, fn) -> RelPolynomial:
-    """Apply key -> new key, or None to drop the monomial, to a z-linear polynomial."""
+    """Apply key -> new key, or None to drop the monomial, to a z-linear polynomial, read unsorted."""
     parts = []
-    for (vars_, zs), coeff in p.terms():
+    for (vars_, zs), coeff in p._terms.items():
         if len(zs) != 1:
             raise NotLinearInZ("operation requires exactly one z-symbol per monomial")
         new_key = fn(zs[0])
@@ -163,7 +165,7 @@ def pointed_polys(pg: PointedGraph) -> PointedPolynomials:
 
 
 def universal_with_pointed_zero(pg: PointedGraph) -> RelPolynomial:
-    """Universal polynomial with the pointed edge treated as a zero edge, computed once per graph."""
+    """The graph's universal polynomial, its pointed edge a zero edge as in every walk; computed once per graph."""
     if pg._universal is None:
-        pg._universal = universal_tutte_statesum(pg.graph, pointed_as_zero=True)
+        pg._universal = universal_tutte_statesum(pg.graph)
     return pg._universal

@@ -74,9 +74,9 @@ def random_graph_with_zero_edges(rng: random.Random, max_edges: int = 8) -> Colo
     raise RuntimeError("rejection sampling failed")
 
 
-def random_proper_labeling(rng: random.Random, g: ColoredMultigraph, pointed_as_zero: bool = False) -> ProperLabeling:
-    regular = list(g.regular_ids(pointed_as_zero))
-    labels = {eid: 0 for eid in g.zero_ids(pointed_as_zero)}
+def random_proper_labeling(rng: random.Random, g: ColoredMultigraph) -> ProperLabeling:
+    regular = list(g.regular_ids())
+    labels = {eid: 0 for eid in g.zero_ids()}
     values = rng.sample(range(1, 10 * len(regular) + 2), len(regular)) if regular else []
     for eid, val in zip(regular, values):
         labels[eid] = val
@@ -107,7 +107,7 @@ def random_pointed_graph(
         edges = [f for f in g.edges if f.id != eid]
         edges.append(EdgeRecord("ep", e.u, e.v, "nu", False, True))
         g2 = ColoredMultigraph(edges, extra_vertices=g.vertex_set)
-        if len(g2.regular_ids(pointed_as_zero=True)) <= max_regular:
+        if len(g2.regular_ids()) <= max_regular:
             return PointedGraph(g2)
     raise RuntimeError("rejection sampling failed to produce a pointed graph")
 

@@ -98,6 +98,10 @@ class TensorInstance:
             taken = [n for n in names if n.startswith(f"{f}/")]
             if taken:
                 raise InstanceInvalid(f"base ids {taken[:3]} collide with the copy namespace of {f!r}")
+        clash = set(g1.zero_colors()) & set(g2.graph.regular_colors())
+        clash |= set(g1.regular_colors()) & set(g2.graph.zero_colors())
+        if clash:  # the product would hold each of them on zero and on regular edges
+            raise InstanceInvalid(f"colors used both as zero and regular: {sorted(clash)}")
 
     def lambda_edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.g1.edges if e.color == self.lam and not e.is_zero)

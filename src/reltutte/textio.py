@@ -5,7 +5,8 @@ One declaration per line::
     edge <edge-id> <u> <v> color=<token> [zero] [pointed]
 
 ``#`` starts a comment, vertices are created implicitly, at most one edge may
-be pointed, and a pointed edge cannot be a zero edge.
+be pointed, and a pointed edge cannot also be flagged zero: every walk takes
+it as a zero edge without the flag.
 """
 
 from __future__ import annotations

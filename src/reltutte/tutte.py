@@ -41,7 +41,7 @@ class ContractingSet:
 
 
 class ProperLabeling:
-    """Edge labeling: zero exactly on the zero set, injective on regular edges."""
+    """Edge labeling: zero exactly on the zero edges (the pointed edge among them), injective on regular edges."""
 
     def __init__(self, labels: Mapping[str, int]):
         self.labels = {str(k): int(v) for k, v in labels.items()}
@@ -49,9 +49,9 @@ class ProperLabeling:
     def __getitem__(self, eid: str) -> int:
         return self.labels[eid]
 
-    def validate(self, g: ColoredMultigraph, pointed_as_zero: bool = False) -> None:
-        regular = set(g.regular_ids(pointed_as_zero))
-        zero = set(g.zero_ids(pointed_as_zero))
+    def validate(self, g: ColoredMultigraph) -> None:
+        regular = set(g.regular_ids())
+        zero = set(g.zero_ids())
         if set(self.labels) != regular | zero:
             raise ImproperLabeling("labeling does not cover the edge set exactly")
         pos = [self.labels[e] for e in regular]
@@ -61,25 +61,25 @@ class ProperLabeling:
             raise ImproperLabeling("zero edges must be labeled 0")
 
 
-def canonical_labeling(g: ColoredMultigraph, pointed_as_zero: bool = False) -> ProperLabeling:
-    """Regular edges sorted by id get labels 1..k; zero edges get 0."""
-    labels = {eid: 0 for eid in g.zero_ids(pointed_as_zero)}
-    for i, eid in enumerate(sorted(g.regular_ids(pointed_as_zero)), start=1):
+def canonical_labeling(g: ColoredMultigraph) -> ProperLabeling:
+    """Regular edges sorted by id get labels 1..k; zero edges, the pointed edge included, get 0."""
+    labels = {eid: 0 for eid in g.zero_ids()}
+    for i, eid in enumerate(sorted(g.regular_ids()), start=1):
         labels[eid] = i
     return ProperLabeling(labels)
 
 
-def _decreasing_order(g: ColoredMultigraph, lab: ProperLabeling, pointed_as_zero: bool) -> list[str]:
-    lab.validate(g, pointed_as_zero)
-    return sorted(g.regular_ids(pointed_as_zero), key=lambda e: lab[e], reverse=True)
+def _decreasing_order(g: ColoredMultigraph, lab: ProperLabeling) -> list[str]:
+    lab.validate(g)
+    return sorted(g.regular_ids(), key=lambda e: lab[e], reverse=True)
 
 
-def _frame(g: ColoredMultigraph, lab: ProperLabeling, pointed_as_zero: bool) -> tuple[list, list, list, list]:
+def _frame(g: ColoredMultigraph, lab: ProperLabeling) -> tuple[list, list, list, list]:
     """The integer frame of a walk: the regular edges in decreasing label
     order, the vertex names sorted (a vertex is its index), the zero edges,
     and the index ends of the regular edges followed by the zero edges."""
-    order = [g.edge(eid) for eid in _decreasing_order(g, lab, pointed_as_zero)]
-    zero = [g.edge(eid) for eid in g.zero_ids(pointed_as_zero)]
+    order = [g.edge(eid) for eid in _decreasing_order(g, lab)]
+    zero = [g.edge(eid) for eid in g.zero_ids()]
     names = sorted(g.vertex_set)
     index = {v: i for i, v in enumerate(names)}
     return order, names, zero, [(index[e.u], index[e.v]) for e in order + zero]
@@ -110,17 +110,13 @@ def _moves(part: tuple, ab: tuple, later: list) -> tuple:
     return ((merged, "x"), (part, "y"))
 
 
-def enumerate_contracting_sets(
-    g: ColoredMultigraph,
-    lab: Optional[ProperLabeling] = None,
-    pointed_as_zero: bool = False,
-) -> Iterator[ContractingSet]:
+def enumerate_contracting_sets(g: ColoredMultigraph, lab: Optional[ProperLabeling] = None) -> Iterator[ContractingSet]:
     """All contracting sets, each exactly once, in contract-first branch order.
 
     Walks the partitions of the vertex indices, keeping the (edge id,
     contracted) pairs of the current path. The stack is explicit, so no path
     length meets the interpreter's recursion limit."""
-    order, names, _, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
+    order, names, _, ends = _frame(g, lab or canonical_labeling(g))
     steps: list[tuple[str, bool]] = []
     stack = [(0, None, tuple(range(len(names))))]
     while stack:
@@ -136,13 +132,9 @@ def enumerate_contracting_sets(
             stack.append((i + 1, (eid, kind in "Xx"), target))
 
 
-def validate_contracting_set(
-    g: ColoredMultigraph,
-    cs: ContractingSet,
-    pointed_as_zero: bool = False,
-) -> None:
+def validate_contracting_set(g: ColoredMultigraph, cs: ContractingSet) -> None:
     """Definition-level check: C cycle-free, D cocycle-free, C+D the regular edges."""
-    regular = set(g.regular_ids(pointed_as_zero))
+    regular = set(g.regular_ids())
     if cs.contracting | cs.deleting != regular or cs.contracting & cs.deleting:
         raise InvalidContractingSet("C and D must partition the regular edges")
     _, closing = union_find(g, cs.contracting)
@@ -184,7 +176,6 @@ def _joined(part: tuple, a: int, b: int, ends: list) -> bool:
 def universal_tutte_statesum(
     g: ColoredMultigraph,
     lab: Optional[ProperLabeling] = None,
-    pointed_as_zero: bool = False,
     demotable: Iterable[str] = (),
 ) -> RelPolynomial:
     """State sum over all contracting sets; linear in the z-symbols.
@@ -199,7 +190,7 @@ def universal_tutte_statesum(
     path, so a monomial's key comes from the first subset in mask order that
     has it, as in a sum of the per-subset state sums. Each demoted subset keys
     its terminal graphs on their zero-edge projections."""
-    order, names, zero, ends = _frame(g, lab or canonical_labeling(g, pointed_as_zero), pointed_as_zero)
+    order, names, zero, ends = _frame(g, lab or canonical_labeling(g))
     k = len(order)
     wanted = set(demotable)
     demote = {i for i, e in enumerate(order) if e.id in wanted}
@@ -244,7 +235,7 @@ def universal_tutte_statesum(
     return RelPolynomial(terms)
 
 
-def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelPolynomial:
+def tutte_recursive(g: ColoredMultigraph) -> RelPolynomial:
     """Deletion-contraction on the regular edge of largest id, top down: T = x·T(G/e) + y·T(G−e),
     X·T(G/e) for a bridge, Y·T(G−e) for a loop. A minor is a union-find of the vertices rooted at
     each block's least one, as ``contract`` names it, so contracting sets one parent and pushes its
@@ -256,7 +247,7 @@ def tutte_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelP
     projection, weight); each projection's pivot key is computed once, and the counts merge by
     (weight, z-key) in leaf order.
     Matches the state sum under the canonical labeling term by term."""
-    order, names, zero, ends = _frame(g, canonical_labeling(g, pointed_as_zero), pointed_as_zero)
+    order, names, zero, ends = _frame(g, canonical_labeling(g))
     (unit, monomial), parent, trail, k = _packing(order), list(range(len(names))), [], len(order)
     high, index, keys, counts = (k + 1) ** len(unit), {}, [], {}  # high exceeds every packed weight
     ends_z, steps = [v for uv in ends[k:] for v in uv], [[unit[s, e.color] for s in "XxyY"] for e in order]

@@ -277,8 +277,8 @@ def cocycle_free(g: ColoredMultigraph, ids) -> bool:
     return len(reference_components(_without(g, set(ids)))) == len(reference_components(g))
 
 
-def brute_contracting_sets(g: ColoredMultigraph, pointed_as_zero: bool = False) -> list:
-    regular = sorted(g.regular_ids(pointed_as_zero))
+def brute_contracting_sets(g: ColoredMultigraph) -> list:
+    regular = sorted(g.regular_ids())
     out = []
     for r in range(len(regular) + 1):
         for c in combinations(regular, r):
@@ -288,11 +288,11 @@ def brute_contracting_sets(g: ColoredMultigraph, pointed_as_zero: bool = False) 
     return out
 
 
-def reference_validate_contracting_set(g: ColoredMultigraph, cs: ContractingSet, pointed_as_zero: bool = False) -> None:
+def reference_validate_contracting_set(g: ColoredMultigraph, cs: ContractingSet) -> None:
     """The definition by ranks: C and D split the regular edges, r(C) = |C|,
     and r(E - D) = r(E). The cycle named is the first prefix of C, in id
     order, whose rank falls short of its size."""
-    regular = set(g.regular_ids(pointed_as_zero))
+    regular = set(g.regular_ids())
     if cs.contracting | cs.deleting != regular or cs.contracting & cs.deleting:
         raise InvalidContractingSet("C and D must partition the regular edges")
     c = sorted(cs.contracting)
@@ -561,43 +561,29 @@ def reference_walk(g: ColoredMultigraph, order: list[str], cs: ContractingSet | 
     return visit(g, 0)
 
 
-def terminal_graph(
-    g: ColoredMultigraph,
-    lab: ProperLabeling,
-    cs: ContractingSet,
-    pointed_as_zero: bool = False,
-) -> ColoredMultigraph:
+def terminal_graph(g: ColoredMultigraph, lab: ProperLabeling, cs: ContractingSet) -> ColoredMultigraph:
     """The all-zero-edge graph left after processing in decreasing label order."""
-    validate_contracting_set(g, cs, pointed_as_zero)
-    ((_, _, t),) = reference_walk(g, _decreasing_order(g, lab, pointed_as_zero), cs)
+    validate_contracting_set(g, cs)
+    ((_, _, t),) = reference_walk(g, _decreasing_order(g, lab), cs)
     return t
 
 
-def activities(
-    g: ColoredMultigraph,
-    lab: ProperLabeling,
-    cs: ContractingSet,
-    pointed_as_zero: bool = False,
-) -> dict[str, Activity]:
+def activities(g: ColoredMultigraph, lab: ProperLabeling, cs: ContractingSet) -> dict[str, Activity]:
     """Activities by replaying contractions/deletions in decreasing label order."""
-    validate_contracting_set(g, cs, pointed_as_zero)
+    validate_contracting_set(g, cs)
     # copy the live steps before the walk moves on and pops them
-    (acts,) = (dict(steps) for steps, _, _ in reference_walk(g, _decreasing_order(g, lab, pointed_as_zero), cs))
+    (acts,) = (dict(steps) for steps, _, _ in reference_walk(g, _decreasing_order(g, lab), cs))
     return acts
 
 
 # -- state sum leaf by leaf ----------------------------------------------------------------
 
 
-def reference_statesum(
-    g: ColoredMultigraph,
-    lab: ProperLabeling | None = None,
-    pointed_as_zero: bool = False,
-) -> RelPolynomial:
+def reference_statesum(g: ColoredMultigraph, lab: ProperLabeling | None = None) -> RelPolynomial:
     """State sum over all contracting sets; linear in the z-symbols."""
-    lab = lab or canonical_labeling(g, pointed_as_zero)
+    lab = lab or canonical_labeling(g)
     terms: dict = {}
-    for _, weight, graph in reference_walk(g, _decreasing_order(g, lab, pointed_as_zero)):
+    for _, weight, graph in reference_walk(g, _decreasing_order(g, lab)):
         m = monomial_key(weight.items(), (pivot_class_key(graph),))
         terms[m] = terms.get(m, 0) + 1
     return RelPolynomial(terms)
@@ -606,20 +592,19 @@ def reference_statesum(
 # -- deletion-contraction on rebuilt minors ------------------------------------------------
 
 
-def reference_recursive(g: ColoredMultigraph, pointed_as_zero: bool = False) -> RelPolynomial:
+def reference_recursive(g: ColoredMultigraph) -> RelPolynomial:
     """Deletion-contraction on the regular edge of largest id, one rebuilt minor per node."""
-    regular = g.regular_ids(pointed_as_zero)
+    regular = g.regular_ids()
     if not regular:
         return z_symbol(pivot_class_key(g))
     eid = max(regular)
     e = g.edge(eid)
     if e.is_loop:
-        return variable("Y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
+        return variable("Y", e.color) * reference_recursive(delete(g, eid))
     if is_bridge(g, eid):
-        return variable("X", e.color) * reference_recursive(contract(g, eid), pointed_as_zero)
-    return variable("x", e.color) * reference_recursive(
-        contract(g, eid), pointed_as_zero
-    ) + variable("y", e.color) * reference_recursive(delete(g, eid), pointed_as_zero)
+        return variable("X", e.color) * reference_recursive(contract(g, eid))
+    contracted, deleted = reference_recursive(contract(g, eid)), reference_recursive(delete(g, eid))
+    return variable("x", e.color) * contracted + variable("y", e.color) * deleted
 
 
 # -- psi-specialisation ------------------------------------------------------------------
@@ -793,12 +778,7 @@ def connected_multigraph_structures(max_edges: int, min_edges: int = 1):
 # -- activities, weights and types by other routes ----------------------------------
 
 
-def activities_via_cycles(
-    g: ColoredMultigraph,
-    lab: ProperLabeling,
-    cs: ContractingSet,
-    pointed_as_zero: bool = False,
-) -> dict[str, Activity]:
+def activities_via_cycles(g: ColoredMultigraph, lab: ProperLabeling, cs: ContractingSet) -> dict[str, Activity]:
     """Independent activity oracle via explicit cycle/cocycle subset search.
 
     An edge of C is internally active iff some cocycle inside D+{e} has e as
@@ -806,8 +786,8 @@ def activities_via_cycles(
     C+{f} has f as its smallest edge. Exponential in |C| and |D|; intended for
     cross-checking on small graphs.
     """
-    validate_contracting_set(g, cs, pointed_as_zero)
-    lab.validate(g, pointed_as_zero)
+    validate_contracting_set(g, cs)
+    lab.validate(g)
     acts: dict[str, Activity] = {}
     d_sorted = sorted(cs.deleting)
     c_sorted = sorted(cs.contracting)
@@ -874,15 +854,15 @@ def weight_polynomial(acts: Mapping[str, Activity], g: ColoredMultigraph) -> Rel
 def contracting_sets_by_type(pg: PointedGraph) -> dict[str, list[ContractingSet]]:
     """All contracting sets with the pointed edge as zero, bucketed by type."""
     buckets: dict[str, list[ContractingSet]] = {TYPE_C: [], TYPE_D: [], TYPE_ZERO: []}
-    for cs in enumerate_contracting_sets(pg.graph, pointed_as_zero=True):
+    for cs in enumerate_contracting_sets(pg.graph):
         buckets[_classify(pg, cs)].append(cs)
     return buckets
 
 
 def _classify_by_terminal_status(pg: PointedGraph, cs: ContractingSet) -> str:
     """Cross-check: contract C and delete D, then look at the pointed edge."""
-    lab = canonical_labeling(pg.graph, pointed_as_zero=True)
-    ((_, _, t),) = reference_walk(pg.graph, _decreasing_order(pg.graph, lab, True), cs)
+    lab = canonical_labeling(pg.graph)
+    ((_, _, t),) = reference_walk(pg.graph, _decreasing_order(pg.graph, lab), cs)
     if t.edge(pg.pointed_id).is_loop:
         return TYPE_C
     if reference_is_bridge(t, pg.pointed_id):

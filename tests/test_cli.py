@@ -7,6 +7,9 @@ import pytest
 
 import reltutte
 from reltutte.cli import main
+from reltutte.pointed import PointedGraph, universal_with_pointed_zero
+from reltutte.textio import parse_graph_file
+from reltutte.tutte import universal_tutte_statesum
 
 
 @pytest.fixture
@@ -69,6 +72,24 @@ def test_tutte_triangle_golden(tmp_path, capsys):
     want = "X[lam]^2·y[lam]·z{} + x[lam]^2·Y[lam]·z{} + x[lam]·X[lam]·y[lam]·z{}"
     assert f"statesum: {want}" in out
     assert f"recursive: {want}" in out
+
+
+def test_tutte_takes_the_pointed_edge_as_zero(pointed_file, capsys):
+    # the pointed edge is a zero edge of every walk: it gets no variable and stays in each z-symbol
+    want = "y[mu]·z{bridge(nu),bridge(z0)} + x[mu]·z{cycle2(nu,z0)}"
+    assert main(["tutte", pointed_file]) == 0
+    out = capsys.readouterr().out
+    assert out == f"# command=tutte\nstatesum: {want}\nrecursive: {want}\n"
+    assert "[nu]" not in out
+    assert main(["tutte", pointed_file, "--format", "jsonl"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [obj["name"] for obj in lines] == ["config", "statesum", "recursive"]
+    assert lines[1]["terms"] == lines[2]["terms"] == [
+        {"coeff": 1, "vars": "y[mu]", "zkey": "z{bridge(nu),bridge(z0)}"},
+        {"coeff": 1, "vars": "x[mu]", "zkey": "z{cycle2(nu,z0)}"},
+    ]
+    g = parse_graph_file(pointed_file)
+    assert universal_tutte_statesum(g) == universal_with_pointed_zero(PointedGraph(g))
 
 
 def test_tensor_product_file_round_trips(base_file, patch_file, tmp_path, capsys):
@@ -312,6 +333,24 @@ def test_color_on_no_regular_base_edge_rejected(command, base_file, patch_file, 
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "'nope'" in err[0]
+
+
+@pytest.mark.parametrize("command", ["verify", "tensor"])
+@pytest.mark.parametrize(
+    "base, patch",
+    [
+        ("edge f a b color=lam\nedge h a b color=mu zero\n", "edge ep 1 2 color=nu pointed\nedge r 1 2 color=mu\n"),
+        ("edge f a b color=lam\nedge r a b color=mu\n", "edge ep 1 2 color=nu pointed\nedge h 1 2 color=mu zero\n"),
+    ],
+    ids=["zero-in-base", "zero-in-patch"],
+)
+def test_color_zero_on_one_side_and_regular_on_the_other_rejected(command, base, patch, tmp_path, capsys):
+    (tmp_path / "base.graph").write_text(base)
+    (tmp_path / "patch.graph").write_text(patch)
+    assert main([command, str(tmp_path / "base.graph"), str(tmp_path / "patch.graph"), "--color", "lam"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: colors used both as zero and regular: ['mu']\n"
 
 
 def test_suite_trials_take_effect(monkeypatch, capsys):

@@ -80,7 +80,7 @@ def test_type_characterization_exhaustive():
         pg = random_pointed_graph(rng, max_regular=4, zero_edges=(0, 1))
         g = pg.graph
         e = pg.pointed_id
-        for cs in enumerate_contracting_sets(g, pointed_as_zero=True):
+        for cs in enumerate_contracting_sets(g):
             t = classify_pair(pg, cs)
             c = cs.contracting
             d = cs.deleting
@@ -101,7 +101,7 @@ def test_classify_pair_matches_terminal_status_oracle():
         patches.append(random_pointed_graph(random.Random(derived_seed(32, i)), max_regular=4, zero_edges=(0, 2)))
     checked = 0
     for pg in patches:
-        for cs in enumerate_contracting_sets(pg.graph, pointed_as_zero=True):
+        for cs in enumerate_contracting_sets(pg.graph):
             assert classify_pair(pg, cs) == _classify_by_terminal_status(pg, cs)
             checked += 1
     assert checked > len(patches)
@@ -121,15 +121,15 @@ def test_validation_and_classification_match_rank_definition():
     for i in range(300):
         rng = random.Random(derived_seed(34, i))
         pg = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2))
-        g, regular = pg.graph, sorted(pg.graph.regular_ids(pointed_as_zero=True))
-        pairs = list(enumerate_contracting_sets(g, pointed_as_zero=True))
+        g, regular = pg.graph, sorted(pg.graph.regular_ids())
+        pairs = list(enumerate_contracting_sets(g))
         for _ in range(4):
             c = {e for e in regular if rng.random() < 0.5}
             d = {e for e in regular if e not in c and rng.random() < 0.9} | ({"ep"} if rng.random() < 0.1 else set())
             pairs.append(_cs(c, d))
         for cs in pairs:
-            want = _outcome(reference_validate_contracting_set, g, cs, True)
-            assert _outcome(validate_contracting_set, g, cs, True) == want, (i, cs)
+            want = _outcome(reference_validate_contracting_set, g, cs)
+            assert _outcome(validate_contracting_set, g, cs) == want, (i, cs)
             if want is None:
                 assert classify_pair(pg, cs) == reference_classify(pg, cs), (i, cs)
             outcomes.add(want and want.split(" through")[0])

@@ -121,6 +121,20 @@ def test_instance_validation():
         _instance("edge f a b color=lam\nedge f/x b a color=mu")  # copy namespace taken
 
 
+def test_color_zero_on_one_side_and_regular_on_the_other_rejected():
+    # the product would carry mu on zero and on regular edges, so the instance is refused up front
+    regular_patch = PointedGraph(G("edge ep 1 2 color=nu pointed\nedge r 1 2 color=mu"))
+    zero_patch = PointedGraph(G("edge ep 1 2 color=nu pointed\nedge h 1 2 color=mu zero"))
+    with pytest.raises(InstanceInvalid, match=r"colors used both as zero and regular: \['mu'\]"):
+        _instance("edge f a b color=lam\nedge h a b color=mu zero", patch=regular_patch)
+    with pytest.raises(InstanceInvalid, match=r"colors used both as zero and regular: \['mu'\]"):
+        _instance("edge f a b color=lam\nedge r a b color=mu", patch=zero_patch)
+    # a color on the same side of the split in both graphs is shared
+    for base, patch in (("edge h a b color=mu zero", zero_patch), ("edge r a b color=mu", regular_patch)):
+        ti = _instance(f"edge f a b color=lam\n{base}", patch=patch)
+        assert "mu" in {e.color for e in tensor_product(ti).edges}
+
+
 def test_restrictions_are_contracting_sets_of_copies():
     ti = _instance("edge f1 a b color=lam\nedge f2 b a color=lam")
     prod = tensor_product(ti)

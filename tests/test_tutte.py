@@ -213,8 +213,8 @@ def _assert_same_terms(got, want):
         assert [k.representative for k in keys] == [r.representative for r in refs]
 
 
-def _assert_matches_reference(g, lab=None, pointed_as_zero=False):
-    _assert_same_terms(universal_tutte_statesum(g, lab, pointed_as_zero), reference_statesum(g, lab, pointed_as_zero))
+def _assert_matches_reference(g, lab=None):
+    _assert_same_terms(universal_tutte_statesum(g, lab), reference_statesum(g, lab))
 
 
 def test_statesum_matches_walk_reference_randomized():
@@ -226,8 +226,8 @@ def test_statesum_matches_walk_reference_randomized():
     for i in range(150):
         rng = random.Random(derived_seed(28, i))
         g = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph
-        _assert_matches_reference(g, pointed_as_zero=True)
-        _assert_matches_reference(g, random_proper_labeling(rng, g, pointed_as_zero=True), pointed_as_zero=True)
+        _assert_matches_reference(g)
+        _assert_matches_reference(g, random_proper_labeling(rng, g))
 
 
 def _edge_cases():
@@ -294,30 +294,30 @@ def test_demoted_statesum_edge_cases():
 
 
 def _walk_instance(i):
-    """Graph, labeling and pointed flag for the walk comparison: loops, parallel
-    and zero edges, isolated vertices, disconnected and pointed graphs."""
+    """Graph and labeling for the walk comparison: loops, parallel and zero
+    edges, isolated vertices, disconnected and pointed graphs."""
     rng = random.Random(derived_seed(33, i))
     if i % 5 == 4:
-        g, pointed = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph, True
+        g = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph
     else:
         spec = RandomInstanceSpec(vertices=(1, 5), regular_edges=(0, 7), zero_edges=(0, 2), connected=i % 2 == 0)
-        g, pointed = random_graph(rng, spec), False
-    return g, random_proper_labeling(rng, g, pointed) if i % 3 else canonical_labeling(g, pointed), pointed
+        g = random_graph(rng, spec)
+    return g, random_proper_labeling(rng, g) if i % 3 else canonical_labeling(g)
 
 
 def test_integer_walk_matches_rebuilt_minor_walk():
     leaves = 0
     for i in range(1500):
-        g, lab, pointed = _walk_instance(i)
-        got = [(cs.contracting, cs.deleting) for cs in enumerate_contracting_sets(g, lab, pointed)]
+        g, lab = _walk_instance(i)
+        got = [(cs.contracting, cs.deleting) for cs in enumerate_contracting_sets(g, lab)]
         want = []
-        for steps, _, _ in reference_walk(g, _decreasing_order(g, lab, pointed)):
+        for steps, _, _ in reference_walk(g, _decreasing_order(g, lab)):
             c = {e for e, act in steps if act in (Activity.IA, Activity.II)}
             want.append((c, {e for e, _ in steps} - c))
         assert got == want, i
         leaves += len(got)
         # the leaves' weights and terminal graphs, in the same order
-        _assert_matches_reference(g, lab, pointed)
+        _assert_matches_reference(g, lab)
     assert leaves > 4000
 
 
@@ -329,7 +329,7 @@ def test_recursion_matches_rebuilt_minor_reference_randomized():
     for i in range(200):
         rng = random.Random(derived_seed(30, i))
         g = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph
-        _assert_same_terms(tutte_recursive(g, pointed_as_zero=True), reference_recursive(g, pointed_as_zero=True))
+        _assert_same_terms(tutte_recursive(g), reference_recursive(g))
 
 
 def test_recursion_matches_rebuilt_minor_reference_edge_cases():
@@ -358,14 +358,14 @@ def test_recursion_counts_one_per_leaf():
     cases = []
     for i in range(60):
         rng = random.Random(derived_seed(38, i))
-        cases.append((random_graph_with_zero_edges(rng, max_edges=9), False))
+        cases.append(random_graph_with_zero_edges(rng, max_edges=9))
     for i in range(60):
         rng = random.Random(derived_seed(39, i))
-        cases.append((random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph, True))
-    assert sum(bool(g.zero_ids()) for g, _ in cases) > 60
-    for g, pointed in cases:
-        leaves = sum(1 for _ in enumerate_contracting_sets(g, pointed_as_zero=pointed))
-        assert sum(c for _, c in tutte_recursive(g, pointed_as_zero=pointed).terms()) == leaves
+        cases.append(random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph)
+    assert sum(bool(g.zero_ids()) for g in cases) > 60
+    for g in cases:
+        leaves = sum(1 for _ in enumerate_contracting_sets(g))
+        assert sum(c for _, c in tutte_recursive(g).terms()) == leaves
 
 
 @pytest.mark.parametrize(
@@ -456,11 +456,11 @@ def test_recursion_does_no_polynomial_arithmetic(monkeypatch):
         edge h d b color=z0 zero
         """
     )
-    want = [universal_tutte_statesum(k4), universal_tutte_statesum(pointed, pointed_as_zero=True)]
+    want = [universal_tutte_statesum(k4), universal_tutte_statesum(pointed)]
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(RelPolynomial, name, _no_arithmetic)
     _assert_same_terms(tutte_recursive(k4), want[0])
-    _assert_same_terms(tutte_recursive(pointed, pointed_as_zero=True), want[1])
+    _assert_same_terms(tutte_recursive(pointed), want[1])
 
 
 def test_walk_corpus_renders_are_pinned():
@@ -548,6 +548,21 @@ def test_improper_labeling_rejected(parallel_pair):
         universal_tutte_statesum(parallel_pair, ProperLabeling({"m": 1, "h": 2}))
     with pytest.raises(ImproperLabeling):
         universal_tutte_statesum(parallel_pair, ProperLabeling({"m": 1}))
+
+
+def test_pointed_edge_is_a_zero_edge_of_every_walk():
+    for i in range(100):
+        rng = random.Random(derived_seed(42, i))
+        g = random_pointed_graph(rng, max_regular=5, zero_edges=(0, 2)).graph
+        ep = g.pointed_edge().id
+        assert ep in g.zero_ids() and ep not in g.regular_ids()
+        assert {g.edge(e).color for e in g.regular_ids()} == set(g.regular_colors())
+        lab = canonical_labeling(g)
+        assert lab[ep] == 0
+        lab.validate(g)
+        for label in (1, max(lab.labels.values()) + 1):
+            with pytest.raises(ImproperLabeling, match="zero edges must be labeled 0"):
+                ProperLabeling({**lab.labels, ep: label}).validate(g)
 
 
 def _to_classical(g):
