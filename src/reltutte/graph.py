@@ -1,14 +1,14 @@
 """Colored multigraphs and their structural operations.
 
 Graphs are immutable values: every operation returns a fresh graph. Edges
-carry stable string ids, a color token, and zero/pointed flags. Parallel
-edges and loops are permitted throughout.
+carry stable string ids, a color token, and a zero flag. Parallel edges and
+loops are permitted throughout.
 
 Color discipline: within one graph a color is used either only on zero edges
-or only on regular edges, the reserved color ``nu`` appears on at most one
-edge and marks it pointed, and the reserved color ``lambda0`` is always a
-zero color. The pointed edge carries no zero flag, yet it is a zero edge of
-every walk: ``zero_ids`` holds it and ``regular_ids`` leaves it out.
+or only on regular edges, and the reserved color ``lambda0`` is always a zero
+color. The pointed edge is the one edge of the reserved color ``nu``, which
+alone marks it. It carries no zero flag, yet it is a zero edge of every walk:
+``zero_ids`` holds it and ``regular_ids`` leaves it out.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ ID_RE = re.compile(r"[A-Za-z0-9_.+~/'-]+")
 
 @dataclass(frozen=True)
 class EdgeRecord:
-    """One edge: endpoints may coincide (a loop)."""
+    """One edge: endpoints may coincide (a loop). It is pointed exactly when its color is ``nu``."""
 
     id: str
     u: str
     v: str
     color: str
     is_zero: bool = False
-    is_pointed: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "id", str(self.id))
@@ -52,8 +51,12 @@ class EdgeRecord:
                 raise EngineError(f"bad identifier {tok!r}")
         if not COLOR_RE.fullmatch(self.color):
             raise EngineError(f"bad color token {self.color!r}")
-        if self.is_pointed and self.is_zero:
-            raise EngineError(f"edge {self.id}: pointed edges cannot be zero edges")
+        if self.is_zero and self.is_pointed:
+            raise ColorClash(f"edge {self.id}: color {POINTED_COLOR!r} marks the pointed edge, never a zero edge")
+
+    @property
+    def is_pointed(self) -> bool:
+        return self.color == POINTED_COLOR
 
     @property
     def is_loop(self) -> bool:
@@ -85,18 +88,12 @@ class ColoredMultigraph:
 
     def _validate(self):
         zero_colors, regular_colors = set(), set()
-        pointed = [e for e in self._edges.values() if e.is_pointed]
-        if len(pointed) > 1:
+        if sum(e.is_pointed for e in self._edges.values()) > 1:
             raise EngineError("more than one pointed edge")
         for e in self._edges.values():
-            if e.color == POINTED_COLOR and not e.is_pointed:
-                raise ColorClash(f"edge {e.id}: color {POINTED_COLOR!r} is reserved for the pointed edge")
-            if e.is_pointed and e.color != POINTED_COLOR:
-                raise ColorClash(f"edge {e.id}: pointed edges must carry color {POINTED_COLOR!r}")
             if e.color == RECOLOR_ZERO and not e.is_zero:
                 raise ColorClash(f"edge {e.id}: color {RECOLOR_ZERO!r} is reserved for zero edges")
             (zero_colors if e.is_zero else regular_colors).add(e.color)
-        regular_colors.discard(POINTED_COLOR)
         clash = zero_colors & regular_colors
         if clash:
             raise ColorClash(f"colors used both as zero and regular: {sorted(clash)}")
@@ -219,7 +216,7 @@ def contract(g: ColoredMultigraph, eid: str) -> ColoredMultigraph:
             continue
         u = keep if f.u == gone else f.u
         v = keep if f.v == gone else f.v
-        edges.append(EdgeRecord(f.id, u, v, f.color, f.is_zero, f.is_pointed) if (u, v) != (f.u, f.v) else f)
+        edges.append(EdgeRecord(f.id, u, v, f.color, f.is_zero) if (u, v) != (f.u, f.v) else f)
     return ColoredMultigraph(edges, extra_vertices=g.vertex_set - {gone})
 
 
@@ -510,8 +507,9 @@ def canonical_atoms(edges: Iterable[EdgeRecord], n_vertices: int) -> tuple:
     """Edges of a graph on n_vertices vertices rewritten over a canonical labeling 0..n-1.
 
     Two graphs get equal atom tuples (paired with their vertex counts) iff
-    they are isomorphic as colored multigraphs. Zero/pointed flags are not
-    encoded: under the color discipline they are implied by the color.
+    they are isomorphic as colored multigraphs. The zero flag is not encoded:
+    under the color discipline a color is zero on every edge or on none, and
+    the pointed edge is the edge of color ``nu``.
     """
     sig = tuple(sorted(e.endpoints() + (e.color,) for e in edges))
     return _canonical_atoms_cached(n_vertices, sig)
@@ -542,8 +540,8 @@ class PivotClassKey:
     representative: ColoredMultigraph = field(compare=False, hash=False)
 
     def pointed_status(self) -> Optional[str]:
-        """'bridge', 'loop' or 'inner' when exactly one pointed edge exists."""
-        if sum(e.is_pointed for e in self.representative.edges) != 1:
+        """'bridge', 'loop' or 'inner' when the class has a pointed edge, None when it has none."""
+        if self.representative.pointed_edge() is None:
             return None
         if f"bridge({POINTED_COLOR})" in self.codes:
             return "bridge"
@@ -602,7 +600,7 @@ def splice_all(graphs: Iterable[ColoredMultigraph]) -> ColoredMultigraph:
             vertices.add(rename(v))
         for e in g.edges:
             if e.u in comp:
-                edges.append(EdgeRecord(prefix + e.id, rename(e.u), rename(e.v), e.color, e.is_zero, e.is_pointed))
+                edges.append(EdgeRecord(prefix + e.id, rename(e.u), rename(e.v), e.color, e.is_zero))
     return ColoredMultigraph(edges, extra_vertices=vertices)
 
 
@@ -643,7 +641,7 @@ def _glue_along_edge(
     for f in patch.edges:
         if f.id == pe.id:
             continue
-        edges.append(EdgeRecord(prefix + f.id, rename(f.u), rename(f.v), f.color, f.is_zero, f.is_pointed))
+        edges.append(EdgeRecord(prefix + f.id, rename(f.u), rename(f.v), f.color, f.is_zero))
     vertices = set(base.vertex_set) | {rename(v) for v in patch.vertex_set}
     return ColoredMultigraph(edges, extra_vertices=vertices)
 
@@ -661,12 +659,10 @@ def recolor_subset(g: ColoredMultigraph, s: Iterable[str], new_color: str) -> Co
         colors.add(e.color)
     if len(colors) > 1:
         raise MixedColors(f"edges span colors {sorted(colors)}")
-    if new_color == POINTED_COLOR:
-        raise ColorClash(f"{POINTED_COLOR!r} cannot be used as a zero color")
     edges = []
     for e in g.edges:
         if e.id in ids:
-            edges.append(EdgeRecord(e.id, e.u, e.v, new_color, True, False))
+            edges.append(EdgeRecord(e.id, e.u, e.v, new_color, True))
         else:
             edges.append(e)
     return ColoredMultigraph(edges, extra_vertices=g.vertex_set)

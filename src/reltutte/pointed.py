@@ -1,12 +1,13 @@
 """Pointed relative Tutte polynomials of a graph with one distinguished edge.
 
-The distinguished edge is a zero edge of every walk (``regular_ids`` leaves it
-out), so the universal polynomial of a pointed graph sums over the contracting
-sets with it as an honorary zero edge. Each contracting set is classified by
-whether the pointed edge ends up a loop (its contracting side closes a cycle
-through it), a bridge (its deleting side cuts through it), or neither (a
-zero-edge path keeps its endpoints connected). Projecting the universal
-polynomial onto those three classes and correcting the plain
+The distinguished edge is the one edge of color ``nu``; the color alone marks
+it. It is a zero edge of every walk (``regular_ids`` leaves it out), so the
+universal polynomial of a pointed graph sums over the contracting sets with it
+as an honorary zero edge. Each contracting set is classified by whether the
+pointed edge ends up a loop (its contracting side closes a cycle through it),
+a bridge (its deleting side cuts through it), or neither (a zero-edge path
+keeps its endpoints connected). Projecting the universal polynomial onto those
+three classes in one pass (``_project``) and correcting the plain
 contraction/deletion polynomials by the "neither" class yields the five
 pointed polynomials.
 """
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 from .errors import NoPointedEdge, NotLinearInZ, PointedIsLoopOrBridge
 from .graph import (
+    EMPTY_KEY,
     ColoredMultigraph,
-    PivotClassKey,
     contract,
     delete,
     is_bridge,
@@ -87,54 +88,51 @@ def _classify(pg: PointedGraph, cs: ContractingSet) -> str:
     return TYPE_ZERO
 
 
-def _map_z_linear(p: RelPolynomial, fn) -> RelPolynomial:
-    """Apply key -> new key, or None to drop the monomial, to a z-linear polynomial, read unsorted."""
-    parts = []
+def _project(p: RelPolynomial, keep: tuple[str, ...], op=None) -> RelPolynomial:
+    """Keep the terms of a z-linear p, read unsorted, whose class's pointed status is in keep; op (contract
+    or delete), if given, acts on the pointed edge of each kept class. Terms add up as in RelPolynomial.sum."""
+    acc: dict = {}
     for (vars_, zs), coeff in p._terms.items():
         if len(zs) != 1:
             raise NotLinearInZ("operation requires exactly one z-symbol per monomial")
-        new_key = fn(zs[0])
-        if new_key is None:
+        key = zs[0]
+        if key.pointed_status() not in keep:
             continue
-        parts.append(RelPolynomial.monomial(coeff, vars_, (new_key,)))
-    return RelPolynomial.sum(parts)
+        if op is not None:
+            rep = key.representative
+            key = pivot_class_key(op(rep, rep.pointed_edge().id))
+        m = (vars_, (key if key.codes else EMPTY_KEY,))
+        coeff += acc.get(m, 0)
+        if coeff:
+            acc[m] = coeff
+        else:
+            del acc[m]
+    return RelPolynomial(acc)
 
 
 def pi_C(p: RelPolynomial) -> RelPolynomial:
     """Keep monomials whose class has exactly one pointed edge and it is a bridge."""
-    return _map_z_linear(p, lambda k: k if k.pointed_status() == "bridge" else None)
+    return _project(p, ("bridge",))
 
 
 def pi_L(p: RelPolynomial) -> RelPolynomial:
     """Keep monomials whose class has exactly one pointed edge and it is a loop."""
-    return _map_z_linear(p, lambda k: k if k.pointed_status() == "loop" else None)
+    return _project(p, ("loop",))
 
 
 def pi_0(p: RelPolynomial) -> RelPolynomial:
     """Keep monomials whose pointed edge is neither loop nor bridge."""
-    return _map_z_linear(p, lambda k: k if k.pointed_status() == "inner" else None)
+    return _project(p, ("inner",))
 
 
 def pi_contract(p: RelPolynomial) -> RelPolynomial:
     """Contract the unique pointed edge inside each class; drop loop classes."""
-
-    def act(key: PivotClassKey):
-        if key.pointed_status() in (None, "loop"):
-            return None
-        return pivot_class_key(contract(key.representative, key.representative.pointed_edge().id))
-
-    return _map_z_linear(p, act)
+    return _project(p, ("bridge", "inner"), contract)
 
 
 def pi_delete(p: RelPolynomial) -> RelPolynomial:
     """Delete the unique pointed edge inside each class; drop bridge classes."""
-
-    def act(key: PivotClassKey):
-        if key.pointed_status() in (None, "bridge"):
-            return None
-        return pivot_class_key(delete(key.representative, key.representative.pointed_edge().id))
-
-    return _map_z_linear(p, act)
+    return _project(p, ("loop", "inner"), delete)
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,8 @@ def pointed_polys(pg: PointedGraph) -> PointedPolynomials:
     if pg._polys is None:
         u = universal_with_pointed_zero(pg)
         t0 = pi_0(u)
-        tc = pi_contract(pi_C(u))
-        tl = pi_delete(pi_L(u))
+        tc = _project(u, ("bridge",), contract)
+        tl = _project(u, ("loop",), delete)
         tslash = universal_tutte_statesum(pg.contracted()) - pi_contract(t0)
         tminus = universal_tutte_statesum(pg.deleted()) - pi_delete(t0)
         pg._polys = PointedPolynomials(tc=tc, tl=tl, t0=t0, tslash=tslash, tminus=tminus)

@@ -53,7 +53,7 @@ def random_graph(rng: random.Random, spec: RandomInstanceSpec) -> ColoredMultigr
             color = ZERO_PALETTE[rng.randrange(min(spec.colors, len(ZERO_PALETTE)))] if zero else \
                 REGULAR_PALETTE[rng.randrange(min(spec.colors, len(REGULAR_PALETTE)))]
             prefix = "h" if zero else "e"
-            edges.append(EdgeRecord(f"{prefix}{i}", u, v, color, zero, False))
+            edges.append(EdgeRecord(f"{prefix}{i}", u, v, color, zero))
         g = ColoredMultigraph(edges, extra_vertices=verts)
         if not spec.connected or is_connected(g):
             return g
@@ -105,7 +105,7 @@ def random_pointed_graph(
         eid = rng.choice(sorted(cands))
         e = g.edge(eid)
         edges = [f for f in g.edges if f.id != eid]
-        edges.append(EdgeRecord("ep", e.u, e.v, "nu", False, True))
+        edges.append(EdgeRecord("ep", e.u, e.v, "nu"))
         g2 = ColoredMultigraph(edges, extra_vertices=g.vertex_set)
         if len(g2.regular_ids()) <= max_regular:
             return PointedGraph(g2)
@@ -135,7 +135,7 @@ def random_tensor_instance(
         edges = []
         for e in g1.edges:
             if e.id in lam_ids:
-                edges.append(EdgeRecord(e.id, e.u, e.v, "lam", False, False))
+                edges.append(EdgeRecord(e.id, e.u, e.v, "lam"))
             else:
                 edges.append(e)
         g1 = ColoredMultigraph(edges, extra_vertices=g1.vertex_set)

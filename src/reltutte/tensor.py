@@ -261,9 +261,9 @@ def sigma(p: RelPolynomial) -> RelPolynomial:
 
 
 def decompose_z_linear(p: RelPolynomial) -> list[tuple[RelPolynomial, "object"]]:
-    """Write a z-linear polynomial as a list of (coefficient polynomial, key)."""
+    """Write a z-linear polynomial as a list of (coefficient polynomial, key), its terms read unsorted, by key codes."""
     buckets: dict = {}
-    for (vars_, zs), coeff in p.terms():
+    for (vars_, zs), coeff in p._terms.items():
         if len(zs) != 1:
             raise NotLinearInZ("expected exactly one z-symbol per monomial")
         key = zs[0]

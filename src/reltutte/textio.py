@@ -68,7 +68,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> ColoredMultigraph:
             if color in color_zero and color_zero[color] != is_zero:
                 raise ParseError(f"{loc}: color {color!r} is used both with and without 'zero'")
             color_zero[color] = is_zero
-        edges.append(EdgeRecord(eid, u, v, color, is_zero, is_pointed))
+        edges.append(EdgeRecord(eid, u, v, color, is_zero))
     return ColoredMultigraph(edges)
 
 

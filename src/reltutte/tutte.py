@@ -150,7 +150,7 @@ def _terminal_key(proj: tuple, names: list, zero: list) -> PivotClassKey:
     """The pivot key of a terminal graph from its zero-edge projection, the block roots of the zero edges'
     ends in order: the zero edges re-pointed to those roots. Isolated vertices add nothing to a key."""
     moved = [(e, names[u], names[v]) for e, u, v in zip(zero, proj[::2], proj[1::2])]
-    edges = [e if (u, v) == (e.u, e.v) else EdgeRecord(e.id, u, v, e.color, e.is_zero, e.is_pointed) for e, u, v in moved]
+    edges = [e if (u, v) == (e.u, e.v) else EdgeRecord(e.id, u, v, e.color, e.is_zero) for e, u, v in moved]
     return pivot_class_key(ColoredMultigraph(edges))
 
 
@@ -221,7 +221,7 @@ def universal_tutte_statesum(
         states = nxt
     leaves = []
     for demoted, group in states.items():
-        dz = [EdgeRecord(order[j].id, order[j].u, order[j].v, RECOLOR_ZERO, True, False) for j in demoted]
+        dz = [EdgeRecord(order[j].id, order[j].u, order[j].v, RECOLOR_ZERO, True) for j in demoted]
         ends_z, keys = [v for uv in ends[k:] + [ends[j] for j in demoted] for v in uv], {}
         for part, weights in group.items():
             proj = tuple(part[v] for v in ends_z)

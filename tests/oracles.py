@@ -173,7 +173,7 @@ def vertex_pivot(g: ColoredMultigraph, cutpoint: str, reattach: tuple[str, str])
         else:
             u, v = rename(u), rename(v)
         if (u, v) != (e.u, e.v):
-            edges.append(EdgeRecord(e.id, u, v, e.color, e.is_zero, e.is_pointed))
+            edges.append(EdgeRecord(e.id, u, v, e.color, e.is_zero))
         else:
             edges.append(e)
     extra = {rename(v) for v in g.vertex_set}
@@ -699,11 +699,11 @@ def base_graph_family(structures, lam_counts=(1, 2), max_zero=1, regular_cap=Non
                     edges = []
                     for e in g.edges:
                         if e.id in set(lam):
-                            edges.append(EdgeRecord(e.id, e.u, e.v, "lam", False, False))
+                            edges.append(EdgeRecord(e.id, e.u, e.v, "lam", False))
                         elif e.id in set(z):
-                            edges.append(EdgeRecord(e.id, e.u, e.v, "z0", True, False))
+                            edges.append(EdgeRecord(e.id, e.u, e.v, "z0", True))
                         else:
-                            edges.append(EdgeRecord(e.id, e.u, e.v, "mu", False, False))
+                            edges.append(EdgeRecord(e.id, e.u, e.v, "mu", False))
                     cand = ColoredMultigraph(edges, extra_vertices=g.vertex_set)
                     fam.setdefault(canonical_code(cand), cand)
     return list(fam.values())
@@ -727,11 +727,11 @@ def patch_graph_family(structures, max_zero=1, regular_cap=None):
                 edges = []
                 for f in g.edges:
                     if f.id == ep:
-                        edges.append(EdgeRecord(f.id, f.u, f.v, "nu", False, True))
+                        edges.append(EdgeRecord(f.id, f.u, f.v, "nu", False))
                     elif f.id in set(z):
-                        edges.append(EdgeRecord(f.id, f.u, f.v, "z0", True, False))
+                        edges.append(EdgeRecord(f.id, f.u, f.v, "z0", True))
                     else:
-                        edges.append(EdgeRecord(f.id, f.u, f.v, "mu", False, False))
+                        edges.append(EdgeRecord(f.id, f.u, f.v, "mu", False))
                 cand = ColoredMultigraph(edges, extra_vertices=g.vertex_set)
                 try:
                     pg = PointedGraph(cand)
@@ -771,7 +771,7 @@ def connected_multigraph_structures(max_edges: int, min_edges: int = 1):
                     parent[find(u)] = find(v)
                 if len({find(v) for v in verts}) != 1:
                     continue
-                edges = [EdgeRecord(f"e{k}", u, v, "c", False, False) for k, (u, v) in enumerate(chosen)]
+                edges = [EdgeRecord(f"e{k}", u, v, "c", False) for k, (u, v) in enumerate(chosen)]
                 yield ColoredMultigraph(edges, extra_vertices=verts)
 
 
@@ -868,6 +868,22 @@ def _classify_by_terminal_status(pg: PointedGraph, cs: ContractingSet) -> str:
     if reference_is_bridge(t, pg.pointed_id):
         return TYPE_D
     return TYPE_ZERO
+
+
+def reference_map_z_linear(p: RelPolynomial, fn: Callable[[PivotClassKey], PivotClassKey | None]) -> RelPolynomial:
+    """Apply key -> new key, or None to drop the term, to a z-linear p term by term.
+
+    Each kept term becomes its own ``RelPolynomial.monomial`` and the parts
+    are added by ``RelPolynomial.sum``, in the order p holds its terms.
+    """
+    parts = []
+    for (vars_, zs), coeff in p._terms.items():
+        if len(zs) != 1:
+            raise NotLinearInZ("operation requires exactly one z-symbol per monomial")
+        new_key = fn(zs[0])
+        if new_key is not None:
+            parts.append(RelPolynomial.monomial(coeff, vars_, (new_key,)))
+    return RelPolynomial.sum(parts)
 
 
 # -- ideal generators and 2-sums --------------------------------------------------------

@@ -140,7 +140,7 @@ def test_criterion_4_classical_tutte_oracle():
             RandomInstanceSpec(vertices=(2, 6), regular_edges=(1, 8), zero_edges=(0, 0), colors=1),
         )
         g = ColoredMultigraph(
-            [EdgeRecord(e.id, e.u, e.v, "c", False, False) for e in g.edges],
+            [EdgeRecord(e.id, e.u, e.v, "c", False) for e in g.edges],
             extra_vertices=g.vertex_set,
         )
         ok = ok and _to_classical(g) == classical_tutte(g)
@@ -156,7 +156,7 @@ def test_classical_specialization_matches_networkx():
         rng = random.Random(derived_seed(1011, i))
         g = random_graph(rng, RandomInstanceSpec(vertices=(4, 8), regular_edges=(10, 16), zero_edges=(0, 0), colors=1))
         g = ColoredMultigraph(
-            [EdgeRecord(e.id, e.u, e.v, "c", False, False) for e in g.edges],
+            [EdgeRecord(e.id, e.u, e.v, "c", False) for e in g.edges],
             extra_vertices=g.vertex_set,
         )
         m = nx.MultiGraph()
@@ -321,7 +321,7 @@ def test_criterion_10_pivot_key_invariance():
         pool.append(g)
         pool.append(
             ColoredMultigraph(
-                [EdgeRecord(e.id, e.u, e.v, "z0", True, False) for e in g.edges],
+                [EdgeRecord(e.id, e.u, e.v, "z0", True) for e in g.edges],
                 extra_vertices=g.vertex_set,
             )
         )

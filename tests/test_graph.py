@@ -317,12 +317,31 @@ def test_recolor_rejects_zero_edges_and_mixed_colors():
         recolor_subset(g, {"e1", "e2"}, "lambda0")
 
 
+def test_pointed_edge_is_the_edge_of_color_nu():
+    assert EdgeRecord("e", "a", "b", "nu").is_pointed
+    for color, zero in (("mu", False), ("z0", True), ("lambda0", True)):
+        assert not EdgeRecord("e", "a", "b", color, zero).is_pointed
+    with pytest.raises(ColorClash):
+        EdgeRecord("e", "a", "b", "nu", True)
+    g = G("edge e1 a b color=lam\nedge e2 b c color=lam")
+    with pytest.raises(ColorClash):
+        recolor_subset(g, {"e1"}, "nu")
+    with pytest.raises(EngineError):
+        ColoredMultigraph([EdgeRecord("p", "a", "b", "nu"), EdgeRecord("q", "b", "c", "nu")])
+    g = ColoredMultigraph([EdgeRecord("p", "a", "b", "nu"), EdgeRecord("m", "b", "a", "mu")])
+    assert g.pointed_edge() == g.edge("p")
+    assert g.zero_ids() == ("p",) and g.regular_ids() == ("m",)
+    text = format_graph(g)
+    assert "edge p a b color=nu pointed\n" in text
+    assert G(text) == g
+
+
 def test_color_discipline_enforced():
     with pytest.raises(ColorClash):
         ColoredMultigraph(
             [
-                EdgeRecord("a", "1", "2", "mu", False, False),
-                EdgeRecord("b", "1", "2", "mu", True, False),
+                EdgeRecord("a", "1", "2", "mu", False),
+                EdgeRecord("b", "1", "2", "mu", True),
             ]
         )
 
@@ -387,7 +406,7 @@ _REFERENCE_COLORS = {"z0": True, "z1": True, "mu": False}
 
 def _recolored(g, colors):
     return ColoredMultigraph(
-        [EdgeRecord(e.id, e.u, e.v, c, _REFERENCE_COLORS[c], False) for e, c in zip(g.edges, colors)],
+        [EdgeRecord(e.id, e.u, e.v, c, _REFERENCE_COLORS[c]) for e, c in zip(g.edges, colors)],
         extra_vertices=g.vertex_set,
     )
 
@@ -483,12 +502,12 @@ def test_canonical_code_matches_reference_beam_on_random_graphs():
 
 
 def _zero_cycle(n):
-    return ColoredMultigraph([EdgeRecord(f"e{i}", f"v{i}", f"v{(i + 1) % n}", "z0", True, False) for i in range(n)])
+    return ColoredMultigraph([EdgeRecord(f"e{i}", f"v{i}", f"v{(i + 1) % n}", "z0", True) for i in range(n)])
 
 
 def _zero_complete(n):
     return ColoredMultigraph(
-        [EdgeRecord(f"e{i}.{j}", f"v{i}", f"v{j}", "z0", True, False) for i in range(n) for j in range(i + 1, n)]
+        [EdgeRecord(f"e{i}.{j}", f"v{i}", f"v{j}", "z0", True) for i in range(n) for j in range(i + 1, n)]
     )
 
 

@@ -302,3 +302,63 @@ def test_pointed_polys_computed_once_per_graph(monkeypatch):
     assert pointed_polys(fresh).as_dict() == pp.as_dict()
     assert len(calls) == 6
 
+
+
+def test_projections_match_term_by_term_reference(monkeypatch):
+    # four patches pooled, signed unit coefficients, the variables of about half the terms
+    # dropped: contraction and deletion then merge classes, and some merged terms cancel
+    import reltutte.pointed as pointed
+    from oracles import reference_map_z_linear
+    from reltutte.graph import contract, delete
+    from reltutte.poly import monomial_key
+
+    # one key object per graph, so both sides map a representative to the same object
+    memo = {}
+
+    def key_of(g):
+        if g not in memo:
+            memo[g] = pivot_class_key(g)
+        return memo[g]
+
+    monkeypatch.setattr(pointed, "pivot_class_key", key_of)
+
+    def kept(status):
+        return lambda key: key if key.pointed_status() == status else None
+
+    def moved(op, dropped):
+        def act(key):
+            if key.pointed_status() in (None, dropped):
+                return None
+            rep = key.representative
+            return key_of(op(rep, rep.pointed_edge().id))
+
+        return act
+
+    cases = [
+        (pi_C, kept("bridge")),
+        (pi_L, kept("loop")),
+        (pi_0, kept("inner")),
+        (pi_contract, moved(contract, "loop")),
+        (pi_delete, moved(delete, "bridge")),
+    ]
+    merged = cancelled = 0
+    for i in range(20):
+        rng = random.Random(derived_seed(42, i))
+        terms = {}
+        for _ in range(4):
+            pg = random_pointed_graph(rng, max_regular=3, zero_edges=(0, 2))
+            for vars_, zs in universal_with_pointed_zero(pg)._terms:
+                terms.setdefault((vars_ if rng.random() < 0.5 else (), zs), rng.choice((-1, 1)))
+        p = RelPolynomial(terms)
+        for pi, act in cases:
+            got, want = pi(p), reference_map_z_linear(p, act)
+            assert list(got._terms.items()) == list(want._terms.items()), (i, pi.__name__)
+            assert all(g[1][0] is w[1][0] for g, w in zip(got._terms, want._terms)), (i, pi.__name__)
+            groups = {}
+            for (vars_, zs), coeff in p._terms.items():
+                new_key = act(zs[0])
+                if new_key is not None:
+                    groups.setdefault(monomial_key(vars_, (new_key,)), []).append(coeff)
+            merged += sum(len(cs) > 1 for cs in groups.values())
+            cancelled += sum(len(cs) > 1 and not sum(cs) for cs in groups.values())
+    assert merged and cancelled, (merged, cancelled)

@@ -301,7 +301,7 @@ def test_sigma_matches_canonicalizing_reference():
 def _demoted_graph(*edges):
     from reltutte import ColoredMultigraph, EdgeRecord
 
-    return ColoredMultigraph([EdgeRecord(i, u, v, "lambda0", True, False) for i, u, v in edges])
+    return ColoredMultigraph([EdgeRecord(i, u, v, "lambda0", True) for i, u, v in edges])
 
 
 def test_beta_zero_passthrough_and_bridge():
@@ -334,7 +334,7 @@ def test_beta_zero_keeps_pass_through_terms():
 
     bridge = pivot_class_key(G("edge h 1 2 color=z0 zero"))
     lam0 = pivot_class_key(
-        ColoredMultigraph([EdgeRecord("s", "1", "2", "lambda0", True, False), EdgeRecord("h", "2", "3", "z0", True, False)])
+        ColoredMultigraph([EdgeRecord("s", "1", "2", "lambda0", True), EdgeRecord("h", "2", "3", "z0", True)])
     )
     loop = pivot_class_key(G("edge h 1 1 color=z0 zero"))
     stage = RelPolynomial.sum(
