@@ -4,14 +4,14 @@ Each suite checks one family of identities on seeded random instances and
 reports counts plus the first counterexample (as graph file text) if any.
 Workers are top-level functions taking plain integers so suites can run in a
 process pool; results are emitted in instance order regardless of worker
-count.
+count. The pool starts only when a run uses more than one worker, and only
+then are its modules (``concurrent.futures``, ``multiprocessing``) imported.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .poly import equal_mod_ideal, variable
@@ -106,10 +106,10 @@ def check_tensor_formula(seed: int, index: int, trials: int = 32) -> tuple[bool,
     desc = "base:\n" + format_graph(ti.g1) + "patch:\n" + format_graph(ti.g2.graph)
     report = verify_tensor_formula(ti, trials=trials, seed=s)
     flip_report = verify_tensor_formula(ti, trials=trials, seed=s, flip=True)
-    note = f"flip_equal={flip_report.equal} structural={report.structural_equal}"
-    if not report.equal:
-        return False, "substitution formula failed", desc
-    return True, note, desc
+    failed = " and ".join(side for side, r in (("plain", report), ("flipped", flip_report)) if not r.equal)
+    if failed:
+        return False, f"substitution formula failed in orientation: {failed}", desc
+    return True, f"flip_equal=True structural={report.structural_equal}", desc
 
 
 _SUITES = {
@@ -127,6 +127,13 @@ def _run_one(args: tuple) -> tuple[int, bool, str, str]:
     if inject_fault and index == 0:
         ok, note = False, f"injected fault in instance 0 of {name}"
     return index, ok, note, desc
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The pool of a parallel suite run; its modules load on the first call."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
 
 
 def worker_count(jobs: int, instances: int) -> int:

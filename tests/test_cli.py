@@ -403,6 +403,56 @@ def test_suite_jobs_clamped(monkeypatch):
     assert result.ok and pools == [2]
 
 
+POOL_PROBE = """
+import json, os, sys
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing")))
+
+import reltutte.cli
+from reltutte.suite import run_suite
+
+seen = {"import": pool_modules()}
+run_suite("bijection", 1, seed=9, jobs=4)  # one instance: one worker, so no pool
+seen["serial"] = pool_modules()
+os.cpu_count = lambda: 2  # two workers even on a one-core machine
+runs = {jobs: run_suite("bijection", 3, seed=9, jobs=jobs) for jobs in (1, 2)}
+seen["parallel"] = pool_modules()
+seen["results"] = [[r.ok, r.failures, r.notes, r.first_counterexample] for r in runs.values()]
+print(json.dumps(seen))
+"""
+
+
+def test_process_pool_loads_only_when_a_suite_starts_workers():
+    # pytest's own process may already hold these modules, so look in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(reltutte.__file__))}
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == [] and seen["serial"] == []
+    assert "concurrent.futures.process" in seen["parallel"]
+    serial, parallel = seen["results"]
+    assert serial == parallel and serial[:2] == [True, 0]
+
+
+def test_suite_fails_when_only_the_flipped_orientation_fails(monkeypatch, capsys):
+    import dataclasses
+
+    import reltutte.suite as suite
+
+    real = suite.verify_tensor_formula
+
+    def flipped_fails(ti, trials, seed, flip=False):
+        report = real(ti, trials=trials, seed=seed, flip=flip)
+        return dataclasses.replace(report, equal=report.equal and not flip)
+
+    monkeypatch.setattr(suite, "verify_tensor_formula", flipped_fails)
+    assert main(["suite", "--instances", "2", "--seed", "0", "--only", "tensor-formula"]) == 1
+    out = capsys.readouterr().out
+    assert "suite tensor-formula: 0/2 passed" in out
+    assert "instance 0: substitution formula failed in orientation: flipped" in out
+
+
 def test_invariant_breach_exit_3(monkeypatch, parallel_file, capsys):
     import reltutte.cli as cli
     from reltutte.errors import InvariantBreach
