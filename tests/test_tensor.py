@@ -636,8 +636,8 @@ def test_pulled_back_base_breach_is_internal(monkeypatch, capsys):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="known counterexamples: instances 131 and 163 of the tensor-formula suite at seed 403 fail "
-    "in both orientations; the sides differ only between two blocks of T_0 that are Whitney twists of each other",
+    reason="known counterexamples: instances 131 and 163 of the tensor-formula suite at seed 403 fail in both "
+    "orientations; in 131 the sides differ only between two blocks that are Whitney twists of each other",
 )
 def test_formula_holds_on_seed_403_instances_131_and_163():
     from reltutte.suite import check_tensor_formula
